@@ -9,6 +9,18 @@ abstraction. Restriction annotations advance along with the channel they
 govern, so every intermediate state carries a well-formed session
 environment for its restricted names.
 
+`run` and `explore` step on a `_Soup`: the hoisted binders plus one `_Comp`
+per component. A `_Comp` finds its free names once, when it is made, and
+renders its sort key at most once for each set of its free names that are
+hoisted; its literal tie-breaker and its largest reserved index are made
+only when needed. A step does one normalization: it flattens only the
+components the redex produces and reuses every other `_Comp`, so no step
+walks the whole state; the identifiers in use and the reserved indices of
+the state are gathered only when a hoisted binder collides. The cached data
+lives in the soups of one `run` or `explore` call and nowhere else. The
+public `normalize`, `enabled`, `apply_redex` and `canonical_key` build a
+soup from a term and read their answer off it.
+
 The deterministic policy orders enabled redexes:
   1. reserved bookkeeping channels ("#..."), highest index first,
      index-free ones (recursion servers) ahead of all indexed ones;
@@ -18,11 +30,11 @@ The deterministic policy orders enabled redexes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+import dataclasses
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from . import terms as tm
-from . import types as ty
 from .terms import (
     Abs,
     App,
@@ -59,70 +71,145 @@ def _positive(n: Name) -> Name:
     return n.dualized() if n.dual else n
 
 
-def _max_reserved_index(p) -> int:
-    best = 0
-    for t in tm.iter_subterms(p):
-        if isinstance(t, Name) and t.base == "#" and t.index:
-            best = max(best, t.index)
-        elif isinstance(t, (Output, Input, Select, Branch)):
-            s = t.subject
-            if isinstance(s, Name) and s.base == "#" and s.index:
-                best = max(best, s.index)
+def _top_reserved(t) -> int:
+    """Largest index of a reserved "#" name anywhere in t, free or bound."""
+    best, stack = 0, [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Name):
+            if x.base == tm.RESERVED_PREFIX and x.index:
+                best = max(best, x.index)
+        elif isinstance(x, tuple):
+            stack.extend(x)
+        elif dataclasses.is_dataclass(x):
+            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
     return best
 
 
-def _flatten(p):
-    """Hoist spine restrictions; returns (binders, components).
+class _Comp:
+    """One top-level component of a soup and what is known about it."""
 
-    A hoisted binder that collides with an already-claimed or free name is
-    renamed throughout its scope (both polarities). Reserved bookkeeping
-    names keep their reserved base and move to a fresh index instead.
-    """
-    free0 = set(free_names(p))
-    taken: set[Name] = {_positive(n) for n in free0}
-    supply = NameSupply(used_bases(p))
-    next_reserved = [_max_reserved_index(p) + 1]
-    binders: list[tuple[Name, object]] = []
-    comps: list = []
+    __slots__ = ("term", "names", "positives", "_literal", "_abstract", "_reserved")
+
+    def __init__(self, term) -> None:
+        self.term = term
+        # positive endpoints of the free names, in first-occurrence order
+        self.names = tuple(dict.fromkeys(_positive(n) for n in free_names(term)))
+        self.positives = frozenset(self.names)
+        self._literal: Optional[str] = None
+        self._abstract: dict = {}
+        self._reserved: Optional[int] = None
+
+    def abstract(self, hoisted: frozenset) -> str:
+        """The rendering with every hoisted name as n0: it depends only on
+        which of the component's free names are hoisted."""
+        mine = self.positives & hoisted
+        key = self._abstract.get(mine)
+        if key is None:
+            key = self._abstract[mine] = _serialize(self.term, dict.fromkeys(mine, 0), {}, [0])
+        return key
+
+    def __lt__(self, other: "_Comp") -> bool:
+        """Components whose abstract renderings tie are ordered by their
+        literal renderings, made only for such ties."""
+        if self._literal is None:
+            self._literal = _serialize(self.term, {}, {}, [0])
+        if other._literal is None:
+            other._literal = _serialize(other.term, {}, {}, [0])
+        return self._literal < other._literal
+
+    def reserved(self) -> int:
+        if self._reserved is None:
+            self._reserved = _top_reserved(self.term)
+        return self._reserved
+
+
+class _Soup(NamedTuple):
+    """A normalized state: binders (Name, annotation) in first-use order
+    and components in sort-key order."""
+
+    binders: tuple
+    comps: tuple
+
+    def term(self):
+        body = parallel(c.term for c in self.comps)
+        for b, annot in reversed(self.binders):
+            body = Res(b, annot, body)
+        return body
+
+
+def _normalize(binders, kept, raw) -> _Soup:
+    """The soup of `binders` over the components `kept` (already normal,
+    in order) and the terms `raw`, flattened after them.
+
+    A raw restriction whose binder collides with a claimed binder or a
+    free name is renamed throughout its scope (both polarities): reserved
+    bookkeeping names move to an index above every reserved name of the
+    state, others take a primed base. Dead binders are then dropped."""
+    binders = list(binders)
+    comps = list(kept)
+    taken: Optional[set] = None
+    next_reserved: Optional[int] = None
+    supply = NameSupply(
+        lambda: {n.base for n, _ in binders}.union(
+            *(used_bases(c.term) for c in kept), *(used_bases(t) for t in raw)
+        )
+    )
 
     def claim(b: Name) -> Optional[Name]:
-        if _positive(b) not in taken:
+        nonlocal taken, next_reserved
+        if taken is None:
+            taken = {n for n, _ in binders}
+            for c in kept:
+                taken |= c.positives
+            for t in raw:
+                taken.update(map(_positive, free_names(t)))
+        if b not in taken:
             return None
-        if b.base == "#":
-            idx = next_reserved[0]
-            next_reserved[0] += 1
-            return Name("#", idx, False, "session")
-        base = supply.fresh(b.base)
-        return Name(base, b.index, False, b.kind)
+        if b.base != tm.RESERVED_PREFIX:
+            return Name(supply.fresh(b.base), b.index, False, b.kind)
+        if next_reserved is None:
+            top = _top_reserved(tuple(n for n, _ in binders) + tuple(raw))
+            next_reserved = 1 + max([top, *(c.reserved() for c in kept)])
+        next_reserved += 1
+        return Name(tm.RESERVED_PREFIX, next_reserved - 1, False, "session")
 
-    def go(t) -> None:
+    stack = list(reversed(raw))
+    while stack:
+        t = stack.pop()
         if isinstance(t, Inact):
-            return
+            continue
         if isinstance(t, Par):
-            go(t.left)
-            go(t.right)
-            return
-        if isinstance(t, Res):
+            stack += (t.right, t.left)
+        elif isinstance(t, Res):
             b, body = t.binder, t.body
             fresh = claim(b)
             if fresh is not None:
                 body = substitute(body, Subst.rename_channel(b, fresh))
                 b = fresh
-            taken.add(_positive(b))
+            taken.add(b)
             binders.append((b, t.annot))
-            go(body)
-            return
-        comps.append(t)
+            stack.append(body)
+        else:
+            comps.append(_Comp(t))
 
-    go(p)
-    return binders, comps
+    used: set[Name] = set()
+    for c in comps:
+        used |= c.positives
+    binders = [(b, a) for b, a in binders if b in used]
+    hoisted = frozenset(b for b, _ in binders)
+    comps.sort(key=lambda c: (c.abstract(hoisted), c))
+    order: dict[Name, int] = {}
+    for c in comps:
+        for n in c.names:
+            if n in hoisted and n not in order:
+                order[n] = len(order)
+    binders.sort(key=lambda ba: order[ba[0]])
+    return _Soup(tuple(binders), tuple(comps))
 
 
-def _rebuild(binders, comps):
-    body = parallel(list(comps)) if comps else Inact()
-    for b, annot in reversed(binders):
-        body = Res(b, annot, body)
-    return body
+def _soup(p) -> _Soup:
+    return _normalize((), (), [p])
 
 
 def _serialize(t, nenv: dict, venv: dict, counter: list) -> str:
@@ -216,34 +303,17 @@ def _serialize(t, nenv: dict, venv: dict, counter: list) -> str:
 _ABSENT = object()
 
 
-def _comp_sort_key(comp, hoisted: set) -> tuple:
-    abstract = _serialize(comp, {n: 0 for n in hoisted}, {}, [0])
-    literal = _serialize(comp, {}, {}, [0])
-    return (abstract, literal)
+def _key(term) -> str:
+    return _serialize(term, {}, {}, [0])
 
 
 def normalize(p):
     """Restriction-prefixed sorted soup; idempotent."""
-    binders, comps = _flatten(p)
-    comps = [c for c in comps if not isinstance(c, Inact)]
-    used: set[Name] = set()
-    for c in comps:
-        used.update(_positive(n) for n in free_names(c))
-    binders = [(b, a) for b, a in binders if b in used]
-    hoisted = {b for b, _ in binders}
-    comps.sort(key=lambda c: _comp_sort_key(c, hoisted))
-    order: dict[Name, int] = {}
-    for c in comps:
-        for n in free_names(c):
-            pos = _positive(n)
-            if pos in hoisted and pos not in order:
-                order[pos] = len(order)
-    binders.sort(key=lambda ba: order.get(ba[0], len(order)))
-    return _rebuild(binders, comps)
+    return _soup(p).term()
 
 
 def canonical_key(p) -> str:
-    return _serialize(normalize(p), {}, {}, [0])
+    return _key(normalize(p))
 
 
 def state_equal(p, q) -> bool:
@@ -264,39 +334,35 @@ class Redex:
     label: Optional[str] = None
 
 
-def _partner(out_subject: Name, in_subject: Name) -> bool:
-    if out_subject.kind == "shared":
-        return out_subject == in_subject
-    return in_subject == out_subject.dualized()
+def _partner(out_subject: Name) -> Name:
+    """The subject of the prefix an output or selection on out_subject
+    synchronizes with."""
+    return out_subject if out_subject.kind == "shared" else out_subject.dualized()
 
 
 def enabled(p) -> list[Redex]:
-    _, comps = _flatten(normalize(p))
-    return _enabled(comps)
+    return _enabled(_soup(p))
 
 
-def _enabled(comps) -> list[Redex]:
+def _enabled(soup: _Soup) -> list[Redex]:
+    comps = [c.term for c in soup.comps]
+    receivers: dict[Name, list[int]] = {}
+    for j, d in enumerate(comps):
+        if isinstance(d, (Input, Branch)) and isinstance(d.subject, Name):
+            receivers.setdefault(d.subject, []).append(j)
     out: list[Redex] = []
     for i, c in enumerate(comps):
         if isinstance(c, App) and isinstance(c.fun, Abs):
             out.append(Redex("beta", i))
         elif isinstance(c, Output) and isinstance(c.subject, Name):
-            for j, d in enumerate(comps):
-                if (
-                    isinstance(d, Input)
-                    and isinstance(d.subject, Name)
-                    and _partner(c.subject, d.subject)
-                    and len(c.payload) == len(d.binders)
-                ):
+            for j in receivers.get(_partner(c.subject), ()):
+                d = comps[j]
+                if isinstance(d, Input) and len(c.payload) == len(d.binders):
                     out.append(Redex("comm", i, j, _positive(c.subject)))
         elif isinstance(c, Select) and isinstance(c.subject, Name):
-            for j, d in enumerate(comps):
-                if (
-                    isinstance(d, Branch)
-                    and isinstance(d.subject, Name)
-                    and _partner(c.subject, d.subject)
-                    and any(l == c.label for l, _ in d.branches)
-                ):
+            for j in receivers.get(_partner(c.subject), ()):
+                d = comps[j]
+                if isinstance(d, Branch) and any(l == c.label for l, _ in d.branches):
                     out.append(Redex("select", i, j, _positive(c.subject), c.label))
     return out
 
@@ -338,32 +404,35 @@ def _advance(annot, binder: Name, out_subject: Name, label: Optional[str]):
 
 
 def apply_redex(p, r: Redex):
-    binders, comps = _flatten(normalize(p))
-    new = [c for k, c in enumerate(comps) if k not in (r.i, r.j)]
+    return _step(_soup(p), r).term()
+
+
+def _step(soup: _Soup, r: Redex) -> _Soup:
+    """The soup after firing r: only the components r produces are new."""
+    comps = soup.comps
+    kept = [c for k, c in enumerate(comps) if k not in (r.i, r.j)]
+    binders = soup.binders
     if r.kind == "beta":
-        a: App = comps[r.i]
+        a: App = comps[r.i].term
         f: Abs = a.fun
         if len(f.params) != len(a.args):
             raise SemanticsError("application arity mismatch")
         sub = Subst.of_vars({x: v for (x, _), v in zip(f.params, a.args)})
-        new.append(substitute(f.body, sub))
-        return normalize(_rebuild(binders, new))
-    out_c = comps[r.i]
-    in_c = comps[r.j]
+        return _normalize(binders, kept, [substitute(f.body, sub)])
+    out_c = comps[r.i].term
+    in_c = comps[r.j].term
     if r.kind == "comm":
         sub = Subst.of_vars(dict(zip(in_c.binders, out_c.payload)))
-        new.append(out_c.cont)
-        new.append(substitute(in_c.cont, sub))
+        new = [out_c.cont, substitute(in_c.cont, sub)]
     else:
-        new.append(out_c.cont)
-        new.append(in_c.branch(r.label))
+        new = [out_c.cont, in_c.branch(r.label)]
     if out_c.subject.kind == "session":
         pos = _positive(out_c.subject)
-        binders = [
+        binders = tuple(
             (b, _advance(a, b, out_c.subject, r.label) if b == pos else a)
             for b, a in binders
-        ]
-    return normalize(_rebuild(binders, new))
+        )
+    return _normalize(binders, kept, new)
 
 
 # ---------------------------------------------------------------------------
@@ -391,31 +460,27 @@ class Trace:
         return len(self.steps)
 
 
-def _terminal_status(p) -> str:
-    _, comps = _flatten(p)
-    for c in comps:
-        if isinstance(c, Inact):
-            continue
-        if not isinstance(c, (Input, Output, Select, Branch)):
+def _terminal_status(soup: _Soup) -> str:
+    for c in soup.comps:
+        if not isinstance(c.term, (Input, Output, Select, Branch)):
             return "stuck"
     return "inert"
 
 
-def run(p, policy: str = "det", fuel: int = 200) -> Trace:
-    """Execute to quiescence or fuel exhaustion. Policy "det" follows the
-    documented priority order; "random" needs an rng in `policy` itself and
-    is not provided here (explore() covers all interleavings instead)."""
-    if policy != "det":
-        raise SemanticsError(f"unknown policy {policy!r}")
-    state = normalize(p)
-    initial = state
+def run(p, fuel: int = 200) -> Trace:
+    """Execute to quiescence or fuel exhaustion, firing at each step the
+    enabled redex that comes first in the documented priority order
+    (explore() covers all interleavings instead)."""
+    soup = _soup(p)
+    state = initial = soup.term()
     steps: list[Step] = []
     while len(steps) < fuel:
-        rs = enabled(state)
+        rs = _enabled(soup)
         if not rs:
-            return Trace(initial, steps, state, _terminal_status(state))
+            return Trace(initial, steps, state, _terminal_status(soup))
         r = min(rs, key=_det_rank)
-        state = apply_redex(state, r)
+        soup = _step(soup, r)
+        state = soup.term()
         steps.append(
             Step(
                 len(steps) + 1,
@@ -440,20 +505,20 @@ class Exploration:
 def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     """Breadth-first closure of the reachable state space up to `fuel`
     reduction steps, memoized on the canonical erased form."""
-    s0 = normalize(p)
-    k0 = canonical_key(s0)
-    states = {k0: s0}
+    s0 = _soup(p)
+    t0 = s0.term()
+    k0 = _key(t0)
+    states = {k0: t0}
     depth = {k0: 0}
     terminals: dict = {}
     truncated = False
-    frontier = [k0]
+    frontier = [(k0, s0)]
     edges = 0
     while frontier:
         nxt: list = []
-        for k in frontier:
-            s = states[k]
+        for k, s in frontier:
             d = depth[k]
-            rs = enabled(s)
+            rs = _enabled(s)
             if not rs:
                 terminals[k] = _terminal_status(s)
                 continue
@@ -461,15 +526,16 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
                 truncated = True
                 continue
             for r in rs:
-                t = apply_redex(s, r)
+                t = _step(s, r)
                 edges += 1
-                tk = canonical_key(t)
+                term = t.term()
+                tk = _key(term)
                 if tk not in states:
                     if len(states) >= max_states:
                         truncated = True
                         continue
-                    states[tk] = t
+                    states[tk] = term
                     depth[tk] = d + 1
-                    nxt.append(tk)
+                    nxt.append((tk, t))
         frontier = nxt
     return Exploration(states, depth, terminals, truncated, edges)

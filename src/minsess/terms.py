@@ -22,7 +22,7 @@ dummy name that activates thunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .types import (
     BOOL,
@@ -415,15 +415,21 @@ def used_bases(term: Union[Process, Value]) -> set[str]:
 
 
 class NameSupply:
-    """Deterministic fresh-identifier source: primes a hint until unused."""
+    """Deterministic fresh-identifier source: primes a hint until unused.
 
-    def __init__(self, used: Iterable[str] = ()) -> None:
-        self._used = set(used)
+    `scan` returns the identifiers already in use. It runs on the first call
+    to `fresh`, so a supply that never has to invent a name never walks the
+    terms it guards.
+    """
 
-    def reserve(self, base: str) -> None:
-        self._used.add(base)
+    def __init__(self, scan: Callable[[], Iterable[str]]) -> None:
+        self._scan: Optional[Callable[[], Iterable[str]]] = scan
+        self._used: set[str] = set()
 
     def fresh(self, hint: str) -> str:
+        if self._scan is not None:
+            self._used.update(self._scan())
+            self._scan = None
         hint = hint.rstrip("'") or "x"
         candidate = hint
         while candidate in self._used:
@@ -498,16 +504,15 @@ def substitute(term, sigma: Subst):
     """Apply sigma to a process or value, renaming binders on capture."""
     vmap = sigma.vars()
     nmap = sigma.names()
-    supply = NameSupply(used_bases(term))
-    for v in vmap.values():
-        if isinstance(v, (Name, Var)):
-            supply.reserve(v.base)
-        else:
-            for b in used_bases(v):
-                supply.reserve(b)
-    for n in nmap.values():
-        supply.reserve(n.base)
-    return _sub(term, vmap, nmap, supply)
+
+    def scan() -> set[str]:
+        used = used_bases(term)
+        for v in vmap.values():
+            used |= {v.base} if isinstance(v, (Name, Var)) else used_bases(v)
+        used.update(n.base for n in nmap.values())
+        return used
+
+    return _sub(term, vmap, nmap, NameSupply(scan))
 
 
 def _sub(t, vmap: dict, nmap: dict, supply: NameSupply):
@@ -757,7 +762,7 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
     emitted abstractions can be annotated; literal payloads infer theirs.
     """
     types = dict(name_types or {})
-    supply = NameSupply(used_bases(term))
+    supply = NameSupply(lambda: used_bases(term))
 
     def lookup(item) -> CType:
         if isinstance(item, Lit):

@@ -14,6 +14,7 @@ from minsess.terms import (
     Res,
     Select,
     Var,
+    free_names,
     prop_name,
 )
 from minsess.types import (
@@ -83,6 +84,59 @@ class TestNormalize:
         q = normalize(p)
         # the hoisted binder must not capture the free ~s of the right leg
         assert not enabled(q)
+
+    def test_scope_extrusion_never_captures_a_free_reserved_name(self):
+        # #_2 occurs only as an application argument and #_1 clashes with
+        # the free ~#_1: the hoisted #_1 must move above #_2, not onto it
+        c1, c2 = prop_name(1), prop_name(2)
+        x = Var("x")
+        uses_c2 = App(Abs(((x, SOut((U_SINK,), END)),), Output(x, (SINK,), Inact())), (c2,))
+        p = Par(
+            Par(uses_c2, Res(c1, SOut((U_SINK,), END), Output(c1, (SINK,), Inact()))),
+            Input(c1.dualized(), (Var("y"),), Inact()),
+        )
+        q = normalize(p)
+        assert set(free_names(q)) == {c2, c1.dualized()}
+        assert isinstance(q, Res) and q.binder == prop_name(3)
+
+    def test_clashing_reserved_binders_take_the_next_free_indices(self):
+        c1, c4 = prop_name(1), prop_name(4)
+        one = SOut((U_SINK,), END)
+
+        def sender(c):
+            return Res(c, one, Output(c, (SINK,), Inact()))
+
+        # #_4 is bound under a prefix, so the fresh indices start above it
+        waiting = Input(c1.dualized(), (Var("x"),), sender(c4))
+        q = normalize(Par(sender(c1), Par(sender(c1), waiting)))
+        c5, c6 = prop_name(5), prop_name(6)
+        assert q == Res(
+            c5, one, Res(c6, one, Par(
+                waiting,
+                Par(Output(c5, (SINK,), Inact()), Output(c6, (SINK,), Inact())),
+            ))
+        )
+        assert canonical_key(q) == (
+            "nu n1.(nu n2.((#.1.session~?(v3).nu n4.(n4!(lin(v5){0}).0)"
+            "|(n1!(lin(v6){0}).0|n2!(lin(v7){0}).0))))"
+        )
+
+    def test_clashing_binders_take_primed_bases(self):
+        s = sname("s")
+        one = SOut((U_SINK,), END)
+        sender = Res(s, one, Output(s, (SINK,), Inact()))
+        q = normalize(Par(sender, Par(sender, Input(s.dualized(), (Var("x"),), Inact()))))
+        s1, s2 = sname("s'"), sname("s''")
+        # equal abstract renderings: the literal one puts s'' before s'
+        assert q == Res(
+            s2, one, Res(s1, one, Par(
+                Output(s2, (SINK,), Inact()),
+                Par(Output(s1, (SINK,), Inact()), Input(s.dualized(), (Var("x"),), Inact())),
+            ))
+        )
+        assert canonical_key(q) == (
+            "nu n1.(nu n2.((n1!(lin(v3){0}).0|(n2!(lin(v4){0}).0|s.None.session~?(v5).0))))"
+        )
 
     def test_component_order_is_canonical(self):
         s, r = sname("s"), sname("r")
