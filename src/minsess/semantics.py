@@ -9,17 +9,19 @@ abstraction. Restriction annotations advance along with the channel they
 govern, so every intermediate state carries a well-formed session
 environment for its restricted names.
 
-`run` and `explore` step on a `_Soup`: the hoisted binders plus one `_Comp`
-per component. A `_Comp` finds its free names once, when it is made, and
+A state is held as a `_Soup`: the hoisted binders plus one `_Comp` per
+component. A `_Comp` finds its free names once, when it is made, and
 renders its sort key at most once for each set of its free names that are
 hoisted; its literal tie-breaker and its largest reserved index are made
-only when needed. A step does one normalization: it flattens only the
-components the redex produces and reuses every other `_Comp`, so no step
-walks the whole state; the identifiers in use and the reserved indices of
-the state are gathered only when a hoisted binder collides. The cached data
-lives in the soups of one `run` or `explore` call and nowhere else. The
-public `normalize`, `enabled`, `apply_redex` and `canonical_key` build a
-soup from a term and read their answer off it.
+only when needed. `normalize`, `enabled`, `apply_redex` and
+`canonical_key` take a term or a soup; on a term they build its soup first
+and answer with a term, on a soup they answer with a soup. `run` and
+`explore` step through them on soups, so a step is one `apply_redex` and
+one `normalize`, which flattens only the components the redex produces and
+reuses every other `_Comp`: no step walks the whole state, and the
+identifiers in use and the reserved indices of the state are gathered only
+when a hoisted binder collides. The cached data lives in the soups of one
+`run` or `explore` call and nowhere else.
 
 The deterministic policy orders enabled redexes:
   1. reserved bookkeeping channels ("#..."), highest index first,
@@ -30,7 +32,6 @@ The deterministic policy orders enabled redexes:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -51,6 +52,7 @@ from .terms import (
     Subst,
     Var,
     free_names,
+    iter_subterms,
     parallel,
     substitute,
     used_bases,
@@ -71,19 +73,13 @@ def _positive(n: Name) -> Name:
     return n.dualized() if n.dual else n
 
 
-def _top_reserved(t) -> int:
-    """Largest index of a reserved "#" name anywhere in t, free or bound."""
-    best, stack = 0, [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Name):
-            if x.base == tm.RESERVED_PREFIX and x.index:
-                best = max(best, x.index)
-        elif isinstance(x, tuple):
-            stack.extend(x)
-        elif dataclasses.is_dataclass(x):
-            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
-    return best
+def _top_reserved(ts) -> int:
+    """Largest index of a reserved "#" name anywhere in the terms ts, free
+    or bound."""
+    return max(
+        (x.index or 0 for t in ts for x in iter_subterms(t) if tm.is_prop(x)),
+        default=0,
+    )
 
 
 class _Comp:
@@ -113,23 +109,25 @@ class _Comp:
         """Components whose abstract renderings tie are ordered by their
         literal renderings, made only for such ties."""
         if self._literal is None:
-            self._literal = _serialize(self.term, {}, {}, [0])
+            self._literal = _key(self.term)
         if other._literal is None:
-            other._literal = _serialize(other.term, {}, {}, [0])
+            other._literal = _key(other.term)
         return self._literal < other._literal
 
     def reserved(self) -> int:
         if self._reserved is None:
-            self._reserved = _top_reserved(self.term)
+            self._reserved = _top_reserved((self.term,))
         return self._reserved
 
 
 class _Soup(NamedTuple):
-    """A normalized state: binders (Name, annotation) in first-use order
-    and components in sort-key order."""
+    """A state: binders (Name, annotation) and components, followed by the
+    terms `raw` not yet flattened in. A normalized soup has no raw terms,
+    its binders in first-use order and its components in sort-key order."""
 
     binders: tuple
     comps: tuple
+    raw: tuple = ()
 
     def term(self):
         body = parallel(c.term for c in self.comps)
@@ -138,15 +136,16 @@ class _Soup(NamedTuple):
         return body
 
 
-def _normalize(binders, kept, raw) -> _Soup:
-    """The soup of `binders` over the components `kept` (already normal,
-    in order) and the terms `raw`, flattened after them.
+def _normalize(soup: _Soup) -> _Soup:
+    """The normalized soup: the raw terms are flattened in after the
+    components, which are already normal and in order.
 
     A raw restriction whose binder collides with a claimed binder or a
     free name is renamed throughout its scope (both polarities): reserved
     bookkeeping names move to an index above every reserved name of the
     state, others take a primed base. Dead binders are then dropped."""
-    binders = list(binders)
+    binders = list(soup.binders)
+    kept, raw = soup.comps, soup.raw
     comps = list(kept)
     taken: Optional[set] = None
     next_reserved: Optional[int] = None
@@ -169,7 +168,7 @@ def _normalize(binders, kept, raw) -> _Soup:
         if b.base != tm.RESERVED_PREFIX:
             return Name(supply.fresh(b.base), b.index, False, b.kind)
         if next_reserved is None:
-            top = _top_reserved(tuple(n for n, _ in binders) + tuple(raw))
+            top = _top_reserved([*(n for n, _ in binders), *raw])
             next_reserved = 1 + max([top, *(c.reserved() for c in kept)])
         next_reserved += 1
         return Name(tm.RESERVED_PREFIX, next_reserved - 1, False, "session")
@@ -206,10 +205,6 @@ def _normalize(binders, kept, raw) -> _Soup:
                 order[n] = len(order)
     binders.sort(key=lambda ba: order[ba[0]])
     return _Soup(tuple(binders), tuple(comps))
-
-
-def _soup(p) -> _Soup:
-    return _normalize((), (), [p])
 
 
 def _serialize(t, nenv: dict, venv: dict, counter: list) -> str:
@@ -308,12 +303,19 @@ def _key(term) -> str:
 
 
 def normalize(p):
-    """Restriction-prefixed sorted soup; idempotent."""
-    return _soup(p).term()
+    """Restriction-prefixed sorted soup; idempotent. A term gives a term; a
+    `_Soup` gives a `_Soup` that reuses the components it already has."""
+    if isinstance(p, _Soup):
+        return _normalize(p)
+    return _normalize(_Soup((), (), (p,))).term()
+
+
+def _as_soup(p) -> _Soup:
+    return p if isinstance(p, _Soup) else normalize(_Soup((), (), (p,)))
 
 
 def canonical_key(p) -> str:
-    return _key(normalize(p))
+    return _key(_as_soup(p).term())
 
 
 def state_equal(p, q) -> bool:
@@ -341,11 +343,7 @@ def _partner(out_subject: Name) -> Name:
 
 
 def enabled(p) -> list[Redex]:
-    return _enabled(_soup(p))
-
-
-def _enabled(soup: _Soup) -> list[Redex]:
-    comps = [c.term for c in soup.comps]
+    comps = [c.term for c in _as_soup(p).comps]
     receivers: dict[Name, list[int]] = {}
     for j, d in enumerate(comps):
         if isinstance(d, (Input, Branch)) and isinstance(d.subject, Name):
@@ -404,11 +402,14 @@ def _advance(annot, binder: Name, out_subject: Name, label: Optional[str]):
 
 
 def apply_redex(p, r: Redex):
-    return _step(_soup(p), r).term()
+    """The state after firing r, normalized: only the components r produces
+    are new."""
+    soup = normalize(_fire(_as_soup(p), r))
+    return soup if isinstance(p, _Soup) else soup.term()
 
 
-def _step(soup: _Soup, r: Redex) -> _Soup:
-    """The soup after firing r: only the components r produces are new."""
+def _fire(soup: _Soup, r: Redex) -> _Soup:
+    """The soup after firing r, with the produced terms still raw."""
     comps = soup.comps
     kept = [c for k, c in enumerate(comps) if k not in (r.i, r.j)]
     binders = soup.binders
@@ -418,7 +419,7 @@ def _step(soup: _Soup, r: Redex) -> _Soup:
         if len(f.params) != len(a.args):
             raise SemanticsError("application arity mismatch")
         sub = Subst.of_vars({x: v for (x, _), v in zip(f.params, a.args)})
-        return _normalize(binders, kept, [substitute(f.body, sub)])
+        return _Soup(binders, tuple(kept), (substitute(f.body, sub),))
     out_c = comps[r.i].term
     in_c = comps[r.j].term
     if r.kind == "comm":
@@ -432,7 +433,7 @@ def _step(soup: _Soup, r: Redex) -> _Soup:
             (b, _advance(a, b, out_c.subject, r.label) if b == pos else a)
             for b, a in binders
         )
-    return _normalize(binders, kept, new)
+    return _Soup(binders, tuple(kept), tuple(new))
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +472,15 @@ def run(p, fuel: int = 200) -> Trace:
     """Execute to quiescence or fuel exhaustion, firing at each step the
     enabled redex that comes first in the documented priority order
     (explore() covers all interleavings instead)."""
-    soup = _soup(p)
+    soup = _as_soup(p)
     state = initial = soup.term()
     steps: list[Step] = []
     while len(steps) < fuel:
-        rs = _enabled(soup)
+        rs = enabled(soup)
         if not rs:
             return Trace(initial, steps, state, _terminal_status(soup))
         r = min(rs, key=_det_rank)
-        soup = _step(soup, r)
+        soup = apply_redex(soup, r)
         state = soup.term()
         steps.append(
             Step(
@@ -505,10 +506,9 @@ class Exploration:
 def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     """Breadth-first closure of the reachable state space up to `fuel`
     reduction steps, memoized on the canonical erased form."""
-    s0 = _soup(p)
-    t0 = s0.term()
-    k0 = _key(t0)
-    states = {k0: t0}
+    s0 = _as_soup(p)
+    k0 = canonical_key(s0)
+    states = {k0: s0.term()}
     depth = {k0: 0}
     terminals: dict = {}
     truncated = False
@@ -518,7 +518,7 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
         nxt: list = []
         for k, s in frontier:
             d = depth[k]
-            rs = _enabled(s)
+            rs = enabled(s)
             if not rs:
                 terminals[k] = _terminal_status(s)
                 continue
@@ -526,15 +526,14 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
                 truncated = True
                 continue
             for r in rs:
-                t = _step(s, r)
+                t = apply_redex(s, r)
                 edges += 1
-                term = t.term()
-                tk = _key(term)
+                tk = canonical_key(t)
                 if tk not in states:
                     if len(states) >= max_states:
                         truncated = True
                         continue
-                    states[tk] = term
+                    states[tk] = t.term()
                     depth[tk] = d + 1
                     nxt.append((tk, t))
         frontier = nxt

@@ -835,25 +835,26 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
 
 
 def iter_subterms(t) -> Iterator:
-    """Preorder walk over processes and values."""
-    yield t
-    if isinstance(t, (Inact, Name, Var, Lit)):
-        return
-    if isinstance(t, Output):
-        for v in t.payload:
-            yield from iter_subterms(v)
-        yield from iter_subterms(t.cont)
-    elif isinstance(t, (Input, Select)):
-        yield from iter_subterms(t.cont)
-    elif isinstance(t, Branch):
-        for _, p in t.branches:
-            yield from iter_subterms(p)
-    elif isinstance(t, App):
-        yield from iter_subterms(t.fun)
-    elif isinstance(t, Par):
-        yield from iter_subterms(t.left)
-        yield from iter_subterms(t.right)
-    elif isinstance(t, Res):
-        yield from iter_subterms(t.body)
-    elif isinstance(t, Abs):
-        yield from iter_subterms(t.body)
+    """Preorder walk over processes and values, subjects, application
+    arguments and restriction binders included."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Output):
+            kids = (t.subject, *t.payload, t.cont)
+        elif isinstance(t, (Input, Select)):
+            kids = (t.subject, t.cont)
+        elif isinstance(t, Branch):
+            kids = (t.subject, *(p for _, p in t.branches))
+        elif isinstance(t, App):
+            kids = (t.fun, *t.args)
+        elif isinstance(t, Par):
+            kids = (t.left, t.right)
+        elif isinstance(t, Res):
+            kids = (t.binder, t.body)
+        elif isinstance(t, Abs):
+            kids = (t.body,)
+        else:
+            continue
+        stack.extend(reversed(kids))

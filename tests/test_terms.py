@@ -23,6 +23,7 @@ from minsess.terms import (
     init_names,
     init_subst,
     is_prop,
+    iter_subterms,
     is_reserved,
     prop_name,
     rec_server_name,
@@ -176,6 +177,25 @@ def test_rename_channel_covers_both_ends():
     p = Par(Output(s, (Lit(1),), Inact()), Input(s.dualized(), (Var("x"),), Inact()))
     got = substitute(p, sigma)
     assert free_names(got) == [t, t.dualized()]
+
+
+def test_iter_subterms_preorder_with_subjects_args_and_binders():
+    s, f, x = Name("s"), Var("f"), Var("x")
+    out = Output(s, (Lit(1),), Inact())
+    app = App(f, (prop_name(4),))
+    p = Res(prop_name(2), END, Par(out, Input(s.dualized(), (x,), app)))
+    assert list(iter_subterms(p)) == [
+        p, prop_name(2), p.body,
+        out, s, Lit(1), Inact(),
+        p.body.right, s.dualized(), app, f, prop_name(4),
+    ]
+
+
+def test_iter_subterms_walks_long_continuations():
+    p = Inact()
+    for _ in range(5000):
+        p = Output(Name("s"), (Lit(1),), p)
+    assert sum(1 for _ in iter_subterms(p)) == 3 * 5000 + 1
 
 
 def test_alpha_eq_positive():
