@@ -11,17 +11,22 @@ environment for its restricted names.
 
 A state is held as a `_Soup`: the hoisted binders plus one `_Comp` per
 component. A `_Comp` finds its free names once, when it is made, and
-renders its sort key at most once for each set of its free names that are
-hoisted; its literal tie-breaker and its largest reserved index are made
-only when needed. `normalize`, `enabled`, `apply_redex` and
-`canonical_key` take a term or a soup; on a term they build its soup first
-and answer with a term, on a soup they answer with a soup. `run` and
-`explore` step through them on soups, so a step is one `apply_redex` and
-one `normalize`, which flattens only the components the redex produces and
-reuses every other `_Comp`: no step walks the whole state, and the
-identifiers in use and the reserved indices of the state are gathered only
-when a hoisted binder collides. The cached data lives in the soups of one
-`run` or `explore` call and nowhere else.
+renders itself at most once for each set of its free names that are
+hoisted, as one `str.format` template with a field for each such name and
+for each binder inside it. That template gives the component's sort key
+(hoisted names as n0), its literal tie-breaker (the template for the empty
+set) and its part of the state key: `canonical_key` fills the templates
+with the state's binder numbers and joins them, walking no term. The
+largest reserved index is found only when needed. `normalize`, `enabled`,
+`apply_redex` and `canonical_key` take a term or a soup; on a term they
+build its soup first and answer with a term, on a soup they answer with a
+soup. `run` and `explore` step through them on soups, so a step is one
+`apply_redex` and one `normalize`, which flattens and renders only the
+components the redex produces and reuses every other `_Comp`: no step
+walks the whole state, and the identifiers in use and the reserved
+indices of the state are gathered only when a hoisted binder collides.
+The cached data lives in the soups of one `run` or `explore` call and
+nowhere else.
 
 The deterministic policy orders enabled redexes:
   1. reserved bookkeeping channels ("#..."), highest index first,
@@ -82,36 +87,51 @@ def _top_reserved(ts) -> int:
     )
 
 
-class _Comp:
-    """One top-level component of a soup and what is known about it."""
+_NONE: frozenset = frozenset()
 
-    __slots__ = ("term", "names", "positives", "_literal", "_abstract", "_reserved")
+
+class _Comp:
+    """One top-level component of a soup and what is known about it.
+
+    Its rendering is a `_template` with one field for each of its free
+    names that is hoisted, made at most once for each such set of names
+    and cached with its sort key. Filling the fields with the binders'
+    numbers in the state gives the component's part of the state key; the
+    template for the empty set gives the literal tie-breaker."""
+
+    __slots__ = ("term", "names", "positives", "_templates", "_literal", "_reserved")
 
     def __init__(self, term) -> None:
         self.term = term
         # positive endpoints of the free names, in first-occurrence order
         self.names = tuple(dict.fromkeys(_positive(n) for n in free_names(term)))
         self.positives = frozenset(self.names)
+        self._templates: dict = {}
         self._literal: Optional[str] = None
-        self._abstract: dict = {}
         self._reserved: Optional[int] = None
 
-    def abstract(self, hoisted: frozenset) -> str:
-        """The rendering with every hoisted name as n0: it depends only on
-        which of the component's free names are hoisted."""
+    def template(self, hoisted: frozenset) -> tuple:
+        """(fmt, slots, nbinders, abstract key) for the component's free
+        names in hoisted: the `_template` over slots, those names in some
+        fixed order, and the sort key, which renders every slot as n0 and
+        numbers the binders from 1."""
         mine = self.positives & hoisted
-        key = self._abstract.get(mine)
-        if key is None:
-            key = self._abstract[mine] = _serialize(self.term, dict.fromkeys(mine, 0), {}, [0])
-        return key
+        entry = self._templates.get(mine)
+        if entry is None:
+            slots = tuple(mine)
+            fmt, nb = _template(self.term, slots)
+            abstract = fmt.format(*(0,) * len(slots), *range(1, nb + 1))
+            entry = self._templates[mine] = (fmt, slots, nb, abstract)
+        return entry
 
     def __lt__(self, other: "_Comp") -> bool:
         """Components whose abstract renderings tie are ordered by their
-        literal renderings, made only for such ties."""
+        literal renderings (the sort key for the empty set), made only for
+        such ties."""
         if self._literal is None:
-            self._literal = _key(self.term)
+            self._literal = self.template(_NONE)[3]
         if other._literal is None:
-            other._literal = _key(other.term)
+            other._literal = other.template(_NONE)[3]
         return self._literal < other._literal
 
     def reserved(self) -> int:
@@ -197,7 +217,7 @@ def _normalize(soup: _Soup) -> _Soup:
         used |= c.positives
     binders = [(b, a) for b, a in binders if b in used]
     hoisted = frozenset(b for b, _ in binders)
-    comps.sort(key=lambda c: (c.abstract(hoisted), c))
+    comps.sort(key=lambda c: (c.template(hoisted)[3], c))
     order: dict[Name, int] = {}
     for c in comps:
         for n in c.names:
@@ -207,55 +227,69 @@ def _normalize(soup: _Soup) -> _Soup:
     return _Soup(tuple(binders), tuple(comps))
 
 
-def _serialize(t, nenv: dict, venv: dict, counter: list) -> str:
-    """Alpha-invariant, type-erased rendering. Binders in nenv/venv are
-    numbered by first registration; everything else prints literally."""
+def _escape(text: str) -> str:
+    """text with its braces doubled, to stand literally in a template."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _template(t, slots: tuple) -> tuple[str, int]:
+    """Alpha-invariant, type-erased rendering of t as a `str.format`
+    template, and the number of binders it registers.
+
+    Field k < len(slots) stands for the free name slots[k] (a positive
+    endpoint, either polarity); binders take the next fields in order of
+    registration, names as n{...} and variables as v{...}. Everything else
+    prints literally, its braces escaped. Names are looked up by base,
+    index and kind, which both endpoints share, and variables by base and
+    index: plain tuples hash faster than the term classes."""
+    nenv = {(n.base, n.index, n.kind): f"n{{{k}}}" for k, n in enumerate(slots)}
+    venv: dict = {}
+    first = field = len(slots)
+
+    def bind(env: dict, x, tag: str):
+        nonlocal field
+        prev = env.get(x)
+        env[x] = f"{tag}{{{field}}}"
+        field += 1
+        return prev
+
+    def unbind(env: dict, x, prev) -> None:
+        if prev is None:
+            del env[x]
+        else:
+            env[x] = prev
 
     def name(n: Name) -> str:
-        pos = _positive(n)
-        if pos in nenv:
-            return f"n{nenv[pos]}" + ("~" if n.dual else "")
-        return f"{n.base}.{n.index}.{n.kind}" + ("~" if n.dual else "")
-
-    def bind_name(n: Name):
-        prev = nenv.get(n, _ABSENT)
-        counter[0] += 1
-        nenv[n] = counter[0]
-        return prev
-
-    def unbind_name(n: Name, prev) -> None:
-        if prev is _ABSENT:
-            del nenv[n]
-        else:
-            nenv[n] = prev
-
-    def bind_var(v: Var):
-        prev = venv.get(v, _ABSENT)
-        counter[0] += 1
-        venv[v] = counter[0]
-        return prev
-
-    def unbind_var(v: Var, prev) -> None:
-        if prev is _ABSENT:
-            del venv[v]
-        else:
-            venv[v] = prev
+        ref = nenv.get((n.base, n.index, n.kind))
+        if ref is None:
+            base = n.base
+            if "{" in base or "}" in base:
+                base = _escape(base)
+            ref = f"{base}.{n.index}.{n.kind}"
+        return ref + "~" if n.dual else ref
 
     def val(v) -> str:
         if isinstance(v, Lit):
             return f"lit:{type(v.value).__name__}:{v.value!r}"
         if isinstance(v, Var):
-            return f"v{venv[v]}" if v in venv else f"fv:{v.base}.{v.index}"
+            ref = venv.get((v.base, v.index))
+            if ref is None:
+                base = v.base
+                if "{" in base or "}" in base:
+                    base = _escape(base)
+                ref = f"fv:{base}.{v.index}"
+            return ref
         if isinstance(v, Name):
             return name(v)
         if isinstance(v, Abs):
-            prevs = [bind_var(x) for x, _ in v.params]
+            keys = [(x.base, x.index) for x, _ in v.params]
+            prevs = [bind(venv, x, "v") for x in keys]
+            head = ",".join(venv[x] for x in keys)
             body = go(v.body)
-            head = ",".join(f"v{venv[x]}" for x, _ in v.params)
-            for (x, _), prev in zip(reversed(v.params), reversed(prevs)):
-                unbind_var(x, prev)
+            for x, prev in zip(reversed(keys), reversed(prevs)):
+                unbind(venv, x, prev)
             tag = "un" if v.shared else "lin"
-            return f"{tag}({head}){{{body}}}"
+            return f"{tag}({head}){{{{{body}}}}}"
         raise SemanticsError(f"unknown value {v!r}")
 
     def subj(s) -> str:
@@ -268,38 +302,42 @@ def _serialize(t, nenv: dict, venv: dict, counter: list) -> str:
             ps = ",".join(val(v) for v in t.payload)
             return f"{subj(t.subject)}!({ps}).{go(t.cont)}"
         if isinstance(t, Input):
-            prevs = [bind_var(x) for x in t.binders]
+            subject = subj(t.subject)
+            keys = [(x.base, x.index) for x in t.binders]
+            prevs = [bind(venv, x, "v") for x in keys]
+            head = ",".join(venv[x] for x in keys)
             body = go(t.cont)
-            head = ",".join(f"v{venv[x]}" for x in t.binders)
-            for x, prev in zip(reversed(t.binders), reversed(prevs)):
-                unbind_var(x, prev)
-            return f"{subj(t.subject)}?({head}).{body}"
+            for x, prev in zip(reversed(keys), reversed(prevs)):
+                unbind(venv, x, prev)
+            return f"{subject}?({head}).{body}"
         if isinstance(t, Select):
-            return f"{subj(t.subject)}<{t.label}.{go(t.cont)}"
+            l = t.label
+            if "{" in l or "}" in l:
+                l = _escape(l)
+            return f"{subj(t.subject)}<{l}.{go(t.cont)}"
         if isinstance(t, Branch):
-            inner = ";".join(f"{l}:{go(p)}" for l, p in t.branches)
-            return f"{subj(t.subject)}>{{{inner}}}"
+            arms = []
+            for l, p in t.branches:
+                if "{" in l or "}" in l:
+                    l = _escape(l)
+                arms.append(f"{l}:{go(p)}")
+            return f"{subj(t.subject)}>{{{{{';'.join(arms)}}}}}"
         if isinstance(t, App):
             args = ",".join(val(a) if not isinstance(a, Name) else name(a) for a in t.args)
             return f"app({val(t.fun)})({args})"
         if isinstance(t, Par):
             return f"({go(t.left)}|{go(t.right)})"
         if isinstance(t, Res):
-            prev = bind_name(t.binder)
+            b = t.binder
+            key = (b.base, b.index, b.kind)
+            prev = bind(nenv, key, "n")
+            head = nenv[key]
             body = go(t.body)
-            head = f"n{nenv[t.binder]}"
-            unbind_name(t.binder, prev)
+            unbind(nenv, key, prev)
             return f"nu {head}.({body})"
         raise SemanticsError(f"unknown process {t!r}")
 
-    return go(t)
-
-
-_ABSENT = object()
-
-
-def _key(term) -> str:
-    return _serialize(term, {}, {}, [0])
+    return go(t), field - first
 
 
 def normalize(p):
@@ -315,7 +353,23 @@ def _as_soup(p) -> _Soup:
 
 
 def canonical_key(p) -> str:
-    return _key(_as_soup(p).term())
+    """The rendering of the normalized state: its binders numbered 1..k
+    in order, then each component's template filled with the numbers of
+    its hoisted names and the next free numbers for its own binders, the
+    components joined right-nested."""
+    soup = _as_soup(p)
+    number = {b: k for k, (b, _) in enumerate(soup.binders, 1)}
+    hoisted = frozenset(number)
+    offset = len(number)
+    parts = []
+    for c in soup.comps:
+        fmt, slots, nb, _ = c.template(hoisted)
+        parts.append(fmt.format(*[number[n] for n in slots], *range(offset + 1, offset + nb + 1)))
+        offset += nb
+    if not parts:
+        return "0"
+    body = "".join(f"({x}|" for x in parts[:-1]) + parts[-1] + ")" * (len(parts) - 1)
+    return "".join(f"nu n{k}.(" for k in number.values()) + body + ")" * len(number)
 
 
 def state_equal(p, q) -> bool:

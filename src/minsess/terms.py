@@ -14,9 +14,8 @@ indexed in place exactly like one.
 
 Identifiers starting with '#' are reserved for machine-generated
 channels and rejected by the surface parser: '#k' for the sequencing
-channels the decomposition threads between trios, '#rec:n' for the
-shared servers that carry recursive-channel tuples, and '#t' for the
-dummy name that activates thunks.
+channels the decomposition threads between trios and '#rec:n' for the
+shared servers that carry recursive-channel tuples.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .types import (
     SVar,
     TArrow,
     TBase,
-    TChan,
     TypeError_,
     is_session,
     type_alpha_eq,
@@ -45,7 +43,6 @@ from .types import (
 
 RESERVED_PREFIX = "#"
 REC_SERVER_PREFIX = "#rec:"
-THUNK_DUMMY_BASE = "#t"
 
 
 class TermError(Exception):
@@ -116,16 +113,8 @@ def rec_server_name(carrier: Name) -> Name:
     return Name(REC_SERVER_PREFIX + tag, None, False, "shared")
 
 
-def is_rec_server(n: object) -> bool:
-    return isinstance(n, Name) and n.base.startswith(REC_SERVER_PREFIX)
-
-
 def is_reserved(n: object) -> bool:
     return isinstance(n, (Name, Var)) and n.base.startswith(RESERVED_PREFIX)
-
-
-def thunk_dummy() -> Name:
-    return Name(THUNK_DUMMY_BASE, None, False, "shared")
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +465,6 @@ class Subst:
     def names(self) -> dict:
         return dict(self.name_map)
 
-    def is_identity(self) -> bool:
-        return not self.var_map and not self.name_map
-
 
 def init_names(names: list[Name]) -> list[Name]:
     """Give every name of a tuple the starting index 1."""
@@ -745,7 +731,7 @@ def _np_payload(c):
     return TArrow((receiver,), shared=False)
 
 
-def package_type(c: CType) -> SType:
+def package_type(c: CType) -> SIn:
     """Session type of the fresh channel the receiving side opens: it
     receives the abstraction that will consume the packaged item."""
     return SIn((TArrow((c,), shared=False),), SEnd())

@@ -22,9 +22,8 @@ state, and is not what the system's own metatheory uses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
-from . import terms as tm
 from . import types as ty
 from .terms import (
     Abs,
@@ -64,9 +63,6 @@ class TypeEnvs:
     gamma: dict = field(default_factory=dict)
     lam: dict = field(default_factory=dict)
     delta: dict = field(default_factory=dict)
-
-    def copy(self) -> "TypeEnvs":
-        return TypeEnvs(dict(self.gamma), dict(self.lam), dict(self.delta))
 
 
 @dataclass
@@ -129,7 +125,7 @@ class _Checker:
 
     # -- gamma scoping -----------------------------------------------------
 
-    def _gamma_add(self, key, t, path: Path):
+    def _gamma_add(self, key, t):
         prev = self.gamma.get(key, _MISSING)
         self.gamma[key] = t
         return prev
@@ -247,7 +243,7 @@ class _Checker:
             prev = lam.get(x, _MISSING)
             lam[x] = u
             return ("lam", x, prev)
-        prev = self._gamma_add(x, u, path)
+        prev = self._gamma_add(x, u)
         return ("gamma", x, prev)
 
     def _release_binder(self, token, lam: dict, path: Path, rule: str) -> None:
@@ -406,7 +402,7 @@ class _Checker:
                     d3[k] = prev
             return lam2, d3, touched - {s, sd}
         # shared restriction
-        prev = self._gamma_add(p.binder, p.annot, path)
+        prev = self._gamma_add(p.binder, p.annot)
         lam2, d2, touched = self.proc(p.body, lam, delta, body_path)
         self._gamma_restore(p.binder, prev)
         return lam2, d2, touched
@@ -458,7 +454,7 @@ class _Checker:
                 if is_session(c):
                     d_body[x] = c
                 else:
-                    tokens.append(self._gamma_add(x, c, path))
+                    tokens.append(self._gamma_add(x, c))
             lam_b, d_b, _ = self.proc(v.body, {}, d_body, body_path)
             for (x, c), tok in zip(
                 [(x, c) for x, c in v.params if not is_session(c)], tokens
@@ -487,7 +483,7 @@ class _Checker:
         tokens = []
         for x, c in v.params:
             if not is_session(c):
-                tokens.append((x, self._gamma_add(x, c, path)))
+                tokens.append((x, self._gamma_add(x, c)))
         lam_b, d_b, touched = self.proc(v.body, lam, d2, body_path)
         for x, tok in tokens:
             self._gamma_restore(x, tok)

@@ -14,7 +14,7 @@ Everything here is immutable and pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 
 class TypeError_(Exception):
@@ -696,22 +696,3 @@ def format_type(t: AnyType) -> str:
     if isinstance(t, TChan):
         return f"chan {format_type(t.payload)}"
     raise TypeError_(f"unknown type node {t!r}")
-
-
-def iter_types(t: AnyType) -> Iterator[AnyType]:
-    """Preorder walk over a type and all component types."""
-    yield t
-    if isinstance(t, (SOut, SIn)):
-        for u in t.payload:
-            yield from iter_types(u)
-        yield from iter_types(t.cont)
-    elif isinstance(t, (SSel, SBra)):
-        for _, s in t.branches:
-            yield from iter_types(s)
-    elif isinstance(t, SRec):
-        yield from iter_types(t.body)
-    elif isinstance(t, TArrow):
-        for c in t.params:
-            yield from iter_types(c)
-    elif isinstance(t, TChan):
-        yield from iter_types(t.payload)

@@ -15,6 +15,7 @@ from minsess.terms import (
     Select,
     Var,
     free_names,
+    parallel,
     prop_name,
 )
 from minsess.types import (
@@ -172,6 +173,95 @@ class TestCanonicalKey:
         p = Res(s, SOut((U_SINK,), END), comm_pair(s))
         q = Res(s, END, comm_pair(s))
         assert state_equal(p, q)
+
+
+
+class TestKeyComposition:
+    """State keys composed from per-component templates, pinned to the
+    keys the whole-state renderer gave."""
+
+    def test_braces_in_labels_and_names_print_literally(self):
+        c, k = sname("c{0}"), sname("k}{1")
+        p = Res(
+            c,
+            END,
+            Par(
+                Select(c, "l{x}", Output(k, (SINK,), Inact())),
+                Branch(
+                    c.dualized(),
+                    (
+                        ("l{x}", App(Var("f{"), (Lit(1), k.dualized()))),
+                        ("}r", Inact()),
+                    ),
+                ),
+            ),
+        )
+        assert canonical_key(p) == (
+            "nu n1.((n1<l{x}.k}{1.None.session!(lin(v2){0}).0"
+            "|n1~>{l{x}:app(fv:f{.None)(lit:int:1,k}{1.None.session~);}r:0}))"
+        )
+
+    def test_numbers_cross_a_digit_boundary(self):
+        # 12 hoisted binders, 48 internal ones; the last component names
+        # three hoisted channels out of their order
+        chans = [sname("s", i) for i in range(1, 13)]
+        r = sname("r")
+        thunk = Abs(
+            ((Var("y"), BOOL),),
+            Res(
+                r,
+                END,
+                Par(Output(r, (Var("y"),), Inact()), Input(r.dualized(), (Var("z"),), Inact())),
+            ),
+        )
+        comps = []
+        for s in chans:
+            comps.append(Output(s, (thunk,), Inact()))
+            comps.append(Input(s.dualized(), (Var("x"),), App(Var("x"), (Lit(True),))))
+        comps.append(
+            Select(chans[7], "a", Select(chans[2], "b", Select(chans[10], "c", Inact())))
+        )
+        p = parallel(comps)
+        for s in reversed(chans):
+            p = Res(s, END, p)
+        assert canonical_key(p) == (
+            "nu n1.(nu n2.(nu n3.(nu n4.(nu n5.(nu n6.(nu n7.(nu n8.(nu n9.(nu n10.(nu n11.(nu n12.("
+            "(n1!(lin(v13){nu n14.((n14!(v13).0|n14~?(v15).0))}).0|"
+            "(n2!(lin(v16){nu n17.((n17!(v16).0|n17~?(v18).0))}).0|"
+            "(n3!(lin(v19){nu n20.((n20!(v19).0|n20~?(v21).0))}).0|"
+            "(n4!(lin(v22){nu n23.((n23!(v22).0|n23~?(v24).0))}).0|"
+            "(n5!(lin(v25){nu n26.((n26!(v25).0|n26~?(v27).0))}).0|"
+            "(n6!(lin(v28){nu n29.((n29!(v28).0|n29~?(v30).0))}).0|"
+            "(n7!(lin(v31){nu n32.((n32!(v31).0|n32~?(v33).0))}).0|"
+            "(n8!(lin(v34){nu n35.((n35!(v34).0|n35~?(v36).0))}).0|"
+            "(n9!(lin(v37){nu n38.((n38!(v37).0|n38~?(v39).0))}).0|"
+            "(n10!(lin(v40){nu n41.((n41!(v40).0|n41~?(v42).0))}).0|"
+            "(n11!(lin(v43){nu n44.((n44!(v43).0|n44~?(v45).0))}).0|"
+            "(n12!(lin(v46){nu n47.((n47!(v46).0|n47~?(v48).0))}).0|"
+            "(n11<a.n6<b.n3<c.0|"
+            "(n1~?(v49).app(v49)(lit:bool:True)|"
+            "(n2~?(v50).app(v50)(lit:bool:True)|"
+            "(n3~?(v51).app(v51)(lit:bool:True)|"
+            "(n4~?(v52).app(v52)(lit:bool:True)|"
+            "(n5~?(v53).app(v53)(lit:bool:True)|"
+            "(n6~?(v54).app(v54)(lit:bool:True)|"
+            "(n7~?(v55).app(v55)(lit:bool:True)|"
+            "(n8~?(v56).app(v56)(lit:bool:True)|"
+            "(n9~?(v57).app(v57)(lit:bool:True)|"
+            "(n10~?(v58).app(v58)(lit:bool:True)|"
+            "(n11~?(v59).app(v59)(lit:bool:True)|"
+            "n12~?(v60).app(v60)(lit:bool:True)))))))))))))))))))))))))))))))))))))"
+        )
+
+    def test_single_component(self):
+        s = sname("s")
+        p = Res(s, END, Output(s, (SINK,), Output(sname("a"), (SINK,), Inact())))
+        assert canonical_key(p) == "nu n1.(n1!(lin(v2){0}).a.None.session!(lin(v3){0}).0)"
+        assert canonical_key(normalize(p)) == canonical_key(p)
+
+    def test_all_nil(self):
+        p = Par(Inact(), Res(sname("s"), END, Par(Inact(), Inact())))
+        assert canonical_key(p) == "0"
 
 
 class TestStepping:
