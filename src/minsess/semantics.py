@@ -12,19 +12,20 @@ environment for its restricted names.
 A state is held as a `_Soup`: the hoisted binders plus one `_Comp` per
 component. A `_Comp` finds its free names once, when it is made, and
 renders itself at most once for each set of its free names that are
-hoisted, as one `str.format` template with a field for each such name and
-for each binder inside it. That template gives the component's sort key
-(hoisted names as n0), its literal tie-breaker (the template for the empty
-set) and its part of the state key: `canonical_key` fills the templates
-with the state's binder numbers and joins them, walking no term. The
-largest reserved index is found only when needed. `normalize`, `enabled`,
-`apply_redex` and `canonical_key` take a term or a soup; on a term they
-build its soup first and answer with a term, on a soup they answer with a
-soup. `run` and `explore` step through them on soups, so a step is one
-`apply_redex` and one `normalize`, which flattens and renders only the
-components the redex produces and reuses every other `_Comp`: no step
-walks the whole state, and the identifiers in use and the reserved
-indices of the state are gathered only when a hoisted binder collides.
+hoisted, as one `terms.template`: a `str.format` template with a field
+for each such name and for each binder inside it. That template gives the
+component's sort key (hoisted names as n0), its literal tie-breaker (the
+template for the empty set) and its part of the state key:
+`canonical_key` fills the templates with the state's binder numbers and
+joins them, walking no term. The largest reserved index is found only
+when needed. `normalize`, `enabled`, `apply_redex` and `canonical_key`
+take a term or a soup; on a term they build its soup first and answer
+with a term, on a soup they answer with a soup. `run` and `explore` step
+through them on soups, so a step is one `apply_redex` and one
+`normalize`, which flattens and renders only the components the redex
+produces and reuses every other `_Comp`: no step walks the whole state,
+and the identifiers in use and the reserved indices of the state are
+gathered only when a hoisted binder collides.
 The cached data lives in the soups of one `run` or `explore` call and
 nowhere else.
 
@@ -47,7 +48,6 @@ from .terms import (
     Branch,
     Inact,
     Input,
-    Lit,
     Name,
     NameSupply,
     Output,
@@ -55,11 +55,11 @@ from .terms import (
     Res,
     Select,
     Subst,
-    Var,
     free_names,
     iter_subterms,
     parallel,
     substitute,
+    template,
     used_bases,
 )
 from .types import SBra, SIn, SOut, SRec, SSel, unfold_top
@@ -93,7 +93,7 @@ _NONE: frozenset = frozenset()
 class _Comp:
     """One top-level component of a soup and what is known about it.
 
-    Its rendering is a `_template` with one field for each of its free
+    Its rendering is a `terms.template` with one field for each of its free
     names that is hoisted, made at most once for each such set of names
     and cached with its sort key. Filling the fields with the binders'
     numbers in the state gives the component's part of the state key; the
@@ -112,14 +112,14 @@ class _Comp:
 
     def template(self, hoisted: frozenset) -> tuple:
         """(fmt, slots, nbinders, abstract key) for the component's free
-        names in hoisted: the `_template` over slots, those names in some
-        fixed order, and the sort key, which renders every slot as n0 and
-        numbers the binders from 1."""
+        names in hoisted: the `terms.template` over slots, those names in
+        some fixed order, and the sort key, which renders every slot as n0
+        and numbers the binders from 1."""
         mine = self.positives & hoisted
         entry = self._templates.get(mine)
         if entry is None:
             slots = tuple(mine)
-            fmt, nb = _template(self.term, slots)
+            fmt, nb = template(self.term, slots)
             abstract = fmt.format(*(0,) * len(slots), *range(1, nb + 1))
             entry = self._templates[mine] = (fmt, slots, nb, abstract)
         return entry
@@ -225,119 +225,6 @@ def _normalize(soup: _Soup) -> _Soup:
                 order[n] = len(order)
     binders.sort(key=lambda ba: order[ba[0]])
     return _Soup(tuple(binders), tuple(comps))
-
-
-def _escape(text: str) -> str:
-    """text with its braces doubled, to stand literally in a template."""
-    return text.replace("{", "{{").replace("}", "}}")
-
-
-def _template(t, slots: tuple) -> tuple[str, int]:
-    """Alpha-invariant, type-erased rendering of t as a `str.format`
-    template, and the number of binders it registers.
-
-    Field k < len(slots) stands for the free name slots[k] (a positive
-    endpoint, either polarity); binders take the next fields in order of
-    registration, names as n{...} and variables as v{...}. Everything else
-    prints literally, its braces escaped. Names are looked up by base,
-    index and kind, which both endpoints share, and variables by base and
-    index: plain tuples hash faster than the term classes."""
-    nenv = {(n.base, n.index, n.kind): f"n{{{k}}}" for k, n in enumerate(slots)}
-    venv: dict = {}
-    first = field = len(slots)
-
-    def bind(env: dict, x, tag: str):
-        nonlocal field
-        prev = env.get(x)
-        env[x] = f"{tag}{{{field}}}"
-        field += 1
-        return prev
-
-    def unbind(env: dict, x, prev) -> None:
-        if prev is None:
-            del env[x]
-        else:
-            env[x] = prev
-
-    def name(n: Name) -> str:
-        ref = nenv.get((n.base, n.index, n.kind))
-        if ref is None:
-            base = n.base
-            if "{" in base or "}" in base:
-                base = _escape(base)
-            ref = f"{base}.{n.index}.{n.kind}"
-        return ref + "~" if n.dual else ref
-
-    def val(v) -> str:
-        if isinstance(v, Lit):
-            return f"lit:{type(v.value).__name__}:{v.value!r}"
-        if isinstance(v, Var):
-            ref = venv.get((v.base, v.index))
-            if ref is None:
-                base = v.base
-                if "{" in base or "}" in base:
-                    base = _escape(base)
-                ref = f"fv:{base}.{v.index}"
-            return ref
-        if isinstance(v, Name):
-            return name(v)
-        if isinstance(v, Abs):
-            keys = [(x.base, x.index) for x, _ in v.params]
-            prevs = [bind(venv, x, "v") for x in keys]
-            head = ",".join(venv[x] for x in keys)
-            body = go(v.body)
-            for x, prev in zip(reversed(keys), reversed(prevs)):
-                unbind(venv, x, prev)
-            tag = "un" if v.shared else "lin"
-            return f"{tag}({head}){{{{{body}}}}}"
-        raise SemanticsError(f"unknown value {v!r}")
-
-    def subj(s) -> str:
-        return name(s) if isinstance(s, Name) else val(s)
-
-    def go(t) -> str:
-        if isinstance(t, Inact):
-            return "0"
-        if isinstance(t, Output):
-            ps = ",".join(val(v) for v in t.payload)
-            return f"{subj(t.subject)}!({ps}).{go(t.cont)}"
-        if isinstance(t, Input):
-            subject = subj(t.subject)
-            keys = [(x.base, x.index) for x in t.binders]
-            prevs = [bind(venv, x, "v") for x in keys]
-            head = ",".join(venv[x] for x in keys)
-            body = go(t.cont)
-            for x, prev in zip(reversed(keys), reversed(prevs)):
-                unbind(venv, x, prev)
-            return f"{subject}?({head}).{body}"
-        if isinstance(t, Select):
-            l = t.label
-            if "{" in l or "}" in l:
-                l = _escape(l)
-            return f"{subj(t.subject)}<{l}.{go(t.cont)}"
-        if isinstance(t, Branch):
-            arms = []
-            for l, p in t.branches:
-                if "{" in l or "}" in l:
-                    l = _escape(l)
-                arms.append(f"{l}:{go(p)}")
-            return f"{subj(t.subject)}>{{{{{';'.join(arms)}}}}}"
-        if isinstance(t, App):
-            args = ",".join(val(a) if not isinstance(a, Name) else name(a) for a in t.args)
-            return f"app({val(t.fun)})({args})"
-        if isinstance(t, Par):
-            return f"({go(t.left)}|{go(t.right)})"
-        if isinstance(t, Res):
-            b = t.binder
-            key = (b.base, b.index, b.kind)
-            prev = bind(nenv, key, "n")
-            head = nenv[key]
-            body = go(t.body)
-            unbind(nenv, key, prev)
-            return f"nu {head}.({body})"
-        raise SemanticsError(f"unknown process {t!r}")
-
-    return go(t), field - first
 
 
 def normalize(p):

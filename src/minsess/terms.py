@@ -13,9 +13,9 @@ index because a session-typed variable stands for a channel and is
 indexed in place exactly like one.
 
 Identifiers starting with '#' are reserved for machine-generated
-channels and rejected by the surface parser: '#k' for the sequencing
-channels the decomposition threads between trios and '#rec:n' for the
-shared servers that carry recursive-channel tuples.
+channels: '#k' for the sequencing channels the decomposition threads
+between trios and '#rec:n' for the shared servers that carry
+recursive-channel tuples.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .types import (
     TArrow,
     TBase,
     TypeError_,
+    canon_key,
     is_session,
-    type_alpha_eq,
 )
 
 RESERVED_PREFIX = "#"
@@ -266,140 +266,87 @@ def parallel(parts: Iterable[Process]) -> Process:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_add(acc: list, seen: set, item) -> None:
-    if item not in seen:
-        seen.add(item)
-        acc.append(item)
+def _free(term) -> tuple[dict, dict]:
+    """The free names and the free variables of term, each a dict (values
+    unused) in first-occurrence preorder.
+
+    The walk loops along continuations, right parallel branches, last
+    branch arms and restriction and abstraction bodies, and recurses only
+    into subjects, payloads, arguments, left parallel branches and earlier
+    arms, so a long session costs no stack depth."""
+    names: dict = {}
+    vs: dict = {}
+
+    def go(t, bn: frozenset, bv: frozenset) -> None:
+        while True:
+            cls = t.__class__
+            if cls is Name:
+                if t not in bn:
+                    names[t] = None
+                return
+            if cls is Var:
+                if t not in bv:
+                    vs[t] = None
+                return
+            if cls is Output:
+                go(t.subject, bn, bv)
+                for v in t.payload:
+                    go(v, bn, bv)
+                t = t.cont
+            elif cls is Input:
+                go(t.subject, bn, bv)
+                bv = bv.union(t.binders)
+                t = t.cont
+            elif cls is Select:
+                go(t.subject, bn, bv)
+                t = t.cont
+            elif cls is Par:
+                go(t.left, bn, bv)
+                t = t.right
+            elif cls is Res:
+                bn = bn.union((t.binder, t.binder.dualized()))
+                t = t.body
+            elif cls is Branch:
+                go(t.subject, bn, bv)
+                for _, p in t.branches[:-1]:
+                    go(p, bn, bv)
+                t = t.branches[-1][1]
+            elif cls is App:
+                go(t.fun, bn, bv)
+                for a in t.args:
+                    go(a, bn, bv)
+                return
+            elif cls is Abs:
+                bv = bv.union(v for v, _ in t.params)
+                t = t.body
+            elif cls is Inact or cls is Lit:
+                return
+            else:
+                raise TermError(f"unknown term node {t!r}")
+
+    go(term, frozenset(), frozenset())
+    return names, vs
 
 
 def free_names(term: Union[Process, Value]) -> list[Name]:
-    acc: list[Name] = []
-    seen: set[Name] = set()
-
-    def go(t, bound: frozenset) -> None:
-        if isinstance(t, Name):
-            if t not in bound:
-                _ordered_add(acc, seen, t)
-        elif isinstance(t, (Var, Lit, Inact)):
-            pass
-        elif isinstance(t, Output):
-            go(t.subject, bound)
-            for v in t.payload:
-                go(v, bound)
-            go(t.cont, bound)
-        elif isinstance(t, Input):
-            go(t.subject, bound)
-            go(t.cont, bound)
-        elif isinstance(t, (Select,)):
-            go(t.subject, bound)
-            go(t.cont, bound)
-        elif isinstance(t, Branch):
-            go(t.subject, bound)
-            for _, p in t.branches:
-                go(p, bound)
-        elif isinstance(t, App):
-            go(t.fun, bound)
-            for a in t.args:
-                go(a, bound)
-        elif isinstance(t, Par):
-            go(t.left, bound)
-            go(t.right, bound)
-        elif isinstance(t, Res):
-            go(t.body, bound | {t.binder, t.binder.dualized()})
-        elif isinstance(t, Abs):
-            go(t.body, bound)
-        else:
-            raise TermError(f"unknown term node {t!r}")
-
-    go(term, frozenset())
-    return acc
+    return list(_free(term)[0])
 
 
 def free_vars(term: Union[Process, Value]) -> list[Var]:
-    acc: list[Var] = []
-    seen: set[Var] = set()
-
-    def go(t, bound: frozenset) -> None:
-        if isinstance(t, Var):
-            if t not in bound:
-                _ordered_add(acc, seen, t)
-        elif isinstance(t, (Name, Lit, Inact)):
-            pass
-        elif isinstance(t, Output):
-            go(t.subject, bound)
-            for v in t.payload:
-                go(v, bound)
-            go(t.cont, bound)
-        elif isinstance(t, Input):
-            go(t.subject, bound)
-            go(t.cont, bound | set(t.binders))
-        elif isinstance(t, Select):
-            go(t.subject, bound)
-            go(t.cont, bound)
-        elif isinstance(t, Branch):
-            go(t.subject, bound)
-            for _, p in t.branches:
-                go(p, bound)
-        elif isinstance(t, App):
-            go(t.fun, bound)
-            for a in t.args:
-                go(a, bound)
-        elif isinstance(t, Par):
-            go(t.left, bound)
-            go(t.right, bound)
-        elif isinstance(t, Res):
-            go(t.body, bound)
-        elif isinstance(t, Abs):
-            go(t.body, bound | {v for v, _ in t.params})
-        else:
-            raise TermError(f"unknown term node {t!r}")
-
-    go(term, frozenset())
-    return acc
+    return list(_free(term)[1])
 
 
 def used_bases(term: Union[Process, Value]) -> set[str]:
     """Every base identifier occurring anywhere, bound or free."""
     out: set[str] = set()
-
-    def go(t) -> None:
-        if isinstance(t, (Name, Var)):
+    for t in iter_subterms(term):
+        cls = t.__class__
+        if cls is Name or cls is Var:
             out.add(t.base)
-        elif isinstance(t, (Lit, Inact)):
-            pass
-        elif isinstance(t, Output):
-            go(t.subject)
-            for v in t.payload:
-                go(v)
-            go(t.cont)
-        elif isinstance(t, Input):
-            go(t.subject)
-            for b in t.binders:
-                go(b)
-            go(t.cont)
-        elif isinstance(t, Select):
-            go(t.subject)
-            go(t.cont)
-        elif isinstance(t, Branch):
-            go(t.subject)
-            for _, p in t.branches:
-                go(p)
-        elif isinstance(t, App):
-            go(t.fun)
-            for a in t.args:
-                go(a)
-        elif isinstance(t, Par):
-            go(t.left)
-            go(t.right)
-        elif isinstance(t, Res):
-            go(t.binder)
-            go(t.body)
-        elif isinstance(t, Abs):
-            for v, _ in t.params:
-                go(v)
-            go(t.body)
-
-    go(term)
+        elif cls is Input:
+            out.update(v.base for v in t.binders)
+        elif cls is Abs:
+            out.update(v.base for v, _ in t.params)
     return out
 
 
@@ -478,12 +425,6 @@ def init_subst(term: Union[Process, Value]) -> Subst:
     """The index-initializing substitution for a term's free names."""
     fns = [n for n in free_names(term) if n.index is None]
     return Subst.of_names({n: n.with_index(1) for n in fns})
-
-
-def _value_free_idents(v) -> tuple[set[Var], set[Name]]:
-    if isinstance(v, Name):
-        return set(), {v}
-    return set(free_vars(v)), set(free_names(v))
 
 
 def substitute(term, sigma: Subst):
@@ -582,8 +523,8 @@ def _scope_vars(binders, vmap, supply):
     """Drop shadowed entries; rename binders that would capture."""
     vmap = {k: v for k, v in vmap.items() if k not in binders}
     danger: set[Var] = set()
-    for v in list(vmap.values()):
-        danger |= _value_free_idents(v)[0]
+    for v in vmap.values():
+        danger.update(_free(v)[1])
     renames: dict[Var, Var] = {}
     fresh_binders = []
     for b in binders:
@@ -601,7 +542,7 @@ def _scope_name(binder: Name, vmap, nmap, supply):
     nmap = {k: v for k, v in nmap.items() if k not in both}
     danger: set[Name] = set(nmap.values())
     for v in vmap.values():
-        danger |= _value_free_idents(v)[1]
+        danger.update(_free(v)[0])
     if both & danger:
         nb = Name(supply.fresh(binder.base), binder.index, False, binder.kind)
         ren = {binder: nb}
@@ -612,88 +553,139 @@ def _scope_name(binder: Name, vmap, nmap, supply):
 
 
 # ---------------------------------------------------------------------------
-# Alpha-equivalence
+# Canonical rendering and alpha-equivalence
 # ---------------------------------------------------------------------------
+
+
+def _escape(text: str) -> str:
+    """text with its braces doubled, to stand literally in a template."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def template(t, slots: tuple) -> tuple[str, int]:
+    """Alpha-invariant, type-erased rendering of t as a `str.format`
+    template, and the number of binders it registers.
+
+    Field k < len(slots) stands for the free name slots[k] (a positive
+    endpoint, either polarity); binders take the next fields in order of
+    registration, names as n{...} and variables as v{...}. Everything else
+    prints literally, its braces escaped. Names are looked up by base,
+    index and kind, which both endpoints share, and variables by base and
+    index: plain tuples hash faster than the term classes."""
+    nenv = {(n.base, n.index, n.kind): f"n{{{k}}}" for k, n in enumerate(slots)}
+    venv: dict = {}
+    first = field = len(slots)
+
+    def bind(env: dict, x, tag: str):
+        nonlocal field
+        prev = env.get(x)
+        env[x] = f"{tag}{{{field}}}"
+        field += 1
+        return prev
+
+    def unbind(env: dict, x, prev) -> None:
+        if prev is None:
+            del env[x]
+        else:
+            env[x] = prev
+
+    def name(n: Name) -> str:
+        ref = nenv.get((n.base, n.index, n.kind))
+        if ref is None:
+            base = n.base
+            if "{" in base or "}" in base:
+                base = _escape(base)
+            ref = f"{base}.{n.index}.{n.kind}"
+        return ref + "~" if n.dual else ref
+
+    def val(v) -> str:
+        if isinstance(v, Lit):
+            return f"lit:{type(v.value).__name__}:{v.value!r}"
+        if isinstance(v, Var):
+            ref = venv.get((v.base, v.index))
+            if ref is None:
+                base = v.base
+                if "{" in base or "}" in base:
+                    base = _escape(base)
+                ref = f"fv:{base}.{v.index}"
+            return ref
+        if isinstance(v, Name):
+            return name(v)
+        if isinstance(v, Abs):
+            keys = [(x.base, x.index) for x, _ in v.params]
+            prevs = [bind(venv, x, "v") for x in keys]
+            head = ",".join(venv[x] for x in keys)
+            body = go(v.body)
+            for x, prev in zip(reversed(keys), reversed(prevs)):
+                unbind(venv, x, prev)
+            tag = "un" if v.shared else "lin"
+            return f"{tag}({head}){{{{{body}}}}}"
+        raise TermError(f"unknown term node {v!r}")
+
+    def subj(s) -> str:
+        return name(s) if isinstance(s, Name) else val(s)
+
+    def go(t) -> str:
+        if isinstance(t, Inact):
+            return "0"
+        if isinstance(t, Output):
+            ps = ",".join(val(v) for v in t.payload)
+            return f"{subj(t.subject)}!({ps}).{go(t.cont)}"
+        if isinstance(t, Input):
+            subject = subj(t.subject)
+            keys = [(x.base, x.index) for x in t.binders]
+            prevs = [bind(venv, x, "v") for x in keys]
+            head = ",".join(venv[x] for x in keys)
+            body = go(t.cont)
+            for x, prev in zip(reversed(keys), reversed(prevs)):
+                unbind(venv, x, prev)
+            return f"{subject}?({head}).{body}"
+        if isinstance(t, Select):
+            l = t.label
+            if "{" in l or "}" in l:
+                l = _escape(l)
+            return f"{subj(t.subject)}<{l}.{go(t.cont)}"
+        if isinstance(t, Branch):
+            arms = []
+            for l, p in t.branches:
+                if "{" in l or "}" in l:
+                    l = _escape(l)
+                arms.append(f"{l}:{go(p)}")
+            return f"{subj(t.subject)}>{{{{{';'.join(arms)}}}}}"
+        if isinstance(t, App):
+            args = ",".join(val(a) if not isinstance(a, Name) else name(a) for a in t.args)
+            return f"app({val(t.fun)})({args})"
+        if isinstance(t, Par):
+            return f"({go(t.left)}|{go(t.right)})"
+        if isinstance(t, Res):
+            b = t.binder
+            key = (b.base, b.index, b.kind)
+            prev = bind(nenv, key, "n")
+            head = nenv[key]
+            body = go(t.body)
+            unbind(nenv, key, prev)
+            return f"nu {head}.({body})"
+        return val(t)
+
+    return go(t), field - first
 
 
 def alpha_eq(a, b) -> bool:
     """Structural equality up to consistent renaming of bound names,
-    bound variables, and recursion binders inside annotations."""
+    bound variables, and recursion binders inside annotations: the type-
+    erased templates agree, and so do the restriction annotations and
+    abstraction parameter types, in preorder."""
 
-    def go(a, b, venv: dict, nenv: dict) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Inact):
-            return True
-        if isinstance(a, Name):
-            if a in nenv:
-                return nenv[a] == b
-            return a == b and b not in set(nenv.values())
-        if isinstance(a, Var):
-            if a in venv:
-                return venv[a] == b
-            return a == b and b not in set(venv.values())
-        if isinstance(a, Lit):
-            return type(a.value) is type(b.value) and a.value == b.value
-        if isinstance(a, Output):
-            return (
-                go(a.subject, b.subject, venv, nenv)
-                and len(a.payload) == len(b.payload)
-                and all(go(x, y, venv, nenv) for x, y in zip(a.payload, b.payload))
-                and go(a.cont, b.cont, venv, nenv)
-            )
-        if isinstance(a, Input):
-            if len(a.binders) != len(b.binders):
-                return False
-            if not go(a.subject, b.subject, venv, nenv):
-                return False
-            venv2 = dict(venv)
-            venv2.update(zip(a.binders, b.binders))
-            return go(a.cont, b.cont, venv2, nenv)
-        if isinstance(a, Select):
-            return (
-                a.label == b.label
-                and go(a.subject, b.subject, venv, nenv)
-                and go(a.cont, b.cont, venv, nenv)
-            )
-        if isinstance(a, Branch):
-            if [l for l, _ in a.branches] != [l for l, _ in b.branches]:
-                return False
-            if not go(a.subject, b.subject, venv, nenv):
-                return False
-            return all(
-                go(p, q, venv, nenv)
-                for (_, p), (_, q) in zip(a.branches, b.branches)
-            )
-        if isinstance(a, App):
-            return (
-                go(a.fun, b.fun, venv, nenv)
-                and len(a.args) == len(b.args)
-                and all(go(x, y, venv, nenv) for x, y in zip(a.args, b.args))
-            )
-        if isinstance(a, Par):
-            return go(a.left, b.left, venv, nenv) and go(a.right, b.right, venv, nenv)
-        if isinstance(a, Res):
-            if not type_alpha_eq(a.annot, b.annot):
-                return False
-            nenv2 = dict(nenv)
-            nenv2[a.binder] = b.binder
-            nenv2[a.binder.dualized()] = b.binder.dualized()
-            return go(a.body, b.body, venv, nenv2)
-        if isinstance(a, Abs):
-            if a.shared != b.shared or len(a.params) != len(b.params):
-                return False
-            for (_, ca), (_, cb) in zip(a.params, b.params):
-                if not type_alpha_eq(ca, cb):
-                    return False
-            venv2 = dict(venv)
-            venv2.update(
-                (va, vb) for (va, _), (vb, _) in zip(a.params, b.params)
-            )
-            return go(a.body, b.body, venv2, nenv)
-        raise TermError(f"unknown term node {a!r}")
+    def annots(t) -> list[str]:
+        out = []
+        for x in iter_subterms(t):
+            if x.__class__ is Res:
+                out.append(canon_key(x.annot))
+            elif x.__class__ is Abs:
+                out.extend(canon_key(c) for _, c in x.params)
+        return out
 
-    return go(a, b, {}, {})
+    return template(a, ()) == template(b, ()) and annots(a) == annots(b)
 
 
 # ---------------------------------------------------------------------------
@@ -824,23 +816,29 @@ def iter_subterms(t) -> Iterator:
     """Preorder walk over processes and values, subjects, application
     arguments and restriction binders included."""
     stack = [t]
+    push, extend = stack.append, stack.extend
     while stack:
         t = stack.pop()
         yield t
-        if isinstance(t, Output):
-            kids = (t.subject, *t.payload, t.cont)
-        elif isinstance(t, (Input, Select)):
-            kids = (t.subject, t.cont)
-        elif isinstance(t, Branch):
-            kids = (t.subject, *(p for _, p in t.branches))
-        elif isinstance(t, App):
-            kids = (t.fun, *t.args)
-        elif isinstance(t, Par):
-            kids = (t.left, t.right)
-        elif isinstance(t, Res):
-            kids = (t.binder, t.body)
-        elif isinstance(t, Abs):
-            kids = (t.body,)
-        else:
-            continue
-        stack.extend(reversed(kids))
+        cls = t.__class__
+        if cls is Output:
+            push(t.cont)
+            extend(reversed(t.payload))
+            push(t.subject)
+        elif cls is Input or cls is Select:
+            push(t.cont)
+            push(t.subject)
+        elif cls is Par:
+            push(t.right)
+            push(t.left)
+        elif cls is Res:
+            push(t.body)
+            push(t.binder)
+        elif cls is Branch:
+            extend(p for _, p in reversed(t.branches))
+            push(t.subject)
+        elif cls is App:
+            extend(reversed(t.args))
+            push(t.fun)
+        elif cls is Abs:
+            push(t.body)

@@ -668,7 +668,7 @@ def env_step(delta: Mapping) -> list[dict]:
 
 
 def format_type(t: AnyType) -> str:
-    """Render a type in the surface syntax accepted by the parser."""
+    """Render a type in its readable surface syntax."""
     if isinstance(t, SEnd):
         return "end"
     if isinstance(t, SVar):

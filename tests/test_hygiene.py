@@ -1,0 +1,70 @@
+"""Source hygiene of the `minsess` package: no dead private helpers and no
+unused imports.
+
+A module-level function or class with a single leading underscore must be
+referenced somewhere in the package outside its own definition, and every
+name a module imports at top level must be used in that module. Dunder
+names are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "minsess"
+MODULES = sorted(PACKAGE.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _references(tree: ast.AST):
+    """(identifier, line) for every name and attribute occurrence."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def _private_definitions():
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") and not name.startswith("__"):
+                yield module, node
+
+
+def _imported_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if not _is_dunder(bound):
+                    yield bound, node.lineno
+
+
+@pytest.mark.parametrize("module,node", list(_private_definitions()),
+                         ids=lambda x: x if isinstance(x, str) else x.name)
+def test_private_helpers_are_referenced(module, node):
+    own = range(node.lineno, node.end_lineno + 1)
+    for other, tree in TREES.items():
+        for name, line in _references(tree):
+            if name == node.name and not (other == module and line in own):
+                return
+    pytest.fail(f"{module}: {node.name} is defined but never referenced")
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_top_level_imports_are_used(module):
+    tree = TREES[module]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
+    assert not unused, f"{module}: unused imports {unused}"

@@ -8,7 +8,8 @@ alpha-variants must have the same key and explored key set; a variant
 renames input and abstraction binders to fresh identifiers and may also
 rename restriction binders and permute the parallel components under the
 top-level restrictions. Every state a protocol reaches must be normal and
-well typed.
+well typed. A protocol is alpha-equal to its variant with every binder
+renamed and to its image under the identity substitution.
 """
 
 import pytest
@@ -27,8 +28,11 @@ from minsess.terms import (
     Par,
     Res,
     Select,
+    Subst,
     Var,
+    alpha_eq,
     parallel,
+    substitute,
 )
 from minsess.typecheck import check_process
 from minsess.types import INT, SBra, SEnd, SIn, SOut, SSel, TArrow
@@ -230,3 +234,10 @@ def test_reached_states_are_normal_and_well_typed(p):
         assert canonical_key(state) == key
         result = check_process(None, state)
         assert result.ok, result.first_error()
+
+
+@SETTINGS
+@given(protocols, st.permutations(FRESH))
+def test_alpha_variants_and_identity_substitution_are_alpha_equal(p, fresh):
+    assert alpha_eq(p, alpha(p, iter(fresh), names=True))
+    assert alpha_eq(substitute(p, Subst()), p)

@@ -28,8 +28,9 @@ from minsess.terms import (
     prop_name,
     rec_server_name,
     substitute,
+    used_bases,
 )
-from minsess.types import BOOL, INT, SEnd, SIn, SOut, TArrow
+from minsess.types import BOOL, INT, SEnd, SIn, SOut, SRec, SVar, TArrow
 
 END = SEnd()
 U_SH = TArrow((END,), shared=True)
@@ -198,6 +199,16 @@ def test_iter_subterms_walks_long_continuations():
     assert sum(1 for _ in iter_subterms(p)) == 3 * 5000 + 1
 
 
+def test_free_names_vars_and_bases_walk_long_sessions():
+    s, t, x, k = Name("s"), Name("t"), Var("x"), Var("k")
+    p = App(k, (t,))
+    for _ in range(2500):
+        p = Input(s, (x,), Output(s.dualized(), (x,), p))
+    assert free_names(p) == [s, s.dualized(), t]
+    assert free_vars(p) == [k]
+    assert used_bases(p) == {"s", "t", "x", "k"}
+
+
 def test_alpha_eq_positive():
     s, t = Name("s"), Name("t")
     v = Abs(((Var("z"), END),), Inact(), shared=False)
@@ -221,6 +232,26 @@ def test_alpha_eq_negative():
     )
     # literal kinds matter
     assert not alpha_eq(Lit(True), Lit(1))
+
+
+def test_alpha_eq_compares_annotations():
+    s = Name("s")
+    send = Output(s, (Lit(1),), Inact())
+    assert not alpha_eq(Res(s, SOut((INT,), END), send), Res(s, SOut((BOOL,), END), send))
+    assert not alpha_eq(
+        Abs(((Var("x"), INT),), Inact(), shared=False),
+        Abs(((Var("x"), BOOL),), Inact(), shared=False),
+    )
+
+
+def test_alpha_eq_renames_recursion_binders_in_annotations():
+    s, t = Name("s"), Name("t")
+    loop_a = SRec("a", SOut((INT,), SVar("a")))
+    loop_b = SRec("b", SOut((INT,), SVar("b")))
+    assert alpha_eq(
+        Res(s, loop_a, Output(s, (Lit(1),), Inact())),
+        Res(t, loop_b, Output(t, (Lit(1),), Inact())),
+    )
 
 
 def test_substitute_identity_is_alpha_id():
