@@ -20,24 +20,26 @@ recursive-channel tuples.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Union
 
 from .types import (
     BOOL,
     CType,
+    END,
     INT,
-    SEnd,
     SIn,
     SOut,
     SSel,
     SBra,
     SRec,
-    SVar,
     TArrow,
     TBase,
+    TChan,
     TypeError_,
     canon_key,
+    fold,
     is_session,
 )
 
@@ -54,7 +56,7 @@ class TermError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name:
     base: str
     index: Optional[int] = None
@@ -82,7 +84,7 @@ class Name:
         return "~" + text if self.dual else text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     base: str
     index: Optional[int] = None
@@ -122,7 +124,7 @@ def is_reserved(n: object) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     value: object  # int | bool
 
@@ -135,7 +137,7 @@ class Lit:
         return BOOL if isinstance(self.value, bool) else INT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs:
     """Abstraction \\lin(x:C,...) -> P or \\un(...) -> P.
 
@@ -164,19 +166,19 @@ Arg = Union[Name, Var, Lit]
 Subject = Union[Name, Var]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inact:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Output:
     subject: Subject
     payload: tuple[Payload, ...]
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Input:
     subject: Subject
     binders: tuple[Var, ...]
@@ -187,14 +189,14 @@ class Input:
             raise TermError(f"duplicate input binders: {self.binders}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Select:
     subject: Subject
     label: str
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     subject: Subject
     branches: tuple[tuple[str, "Process"], ...]
@@ -213,7 +215,7 @@ class Branch:
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     fun: Value
     args: tuple[Arg, ...]
@@ -223,13 +225,13 @@ class App:
             raise TermError("literals cannot be applied")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Par:
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Res:
     """new n : T in P. A session annotation binds both n and ~n."""
 
@@ -355,22 +357,25 @@ class NameSupply:
 
     `scan` returns the identifiers already in use. It runs on the first call
     to `fresh`, so a supply that never has to invent a name never walks the
-    terms it guards.
+    terms it guards. Each hint resumes its priming where it last stopped:
+    every shorter priming is already taken.
     """
 
     def __init__(self, scan: Callable[[], Iterable[str]]) -> None:
         self._scan: Optional[Callable[[], Iterable[str]]] = scan
         self._used: set[str] = set()
+        self._last: dict[str, str] = {}
 
     def fresh(self, hint: str) -> str:
         if self._scan is not None:
             self._used.update(self._scan())
             self._scan = None
         hint = hint.rstrip("'") or "x"
-        candidate = hint
+        candidate = self._last.get(hint, hint)
         while candidate in self._used:
             candidate += "'"
         self._used.add(candidate)
+        self._last[hint] = candidate
         return candidate
 
 
@@ -379,7 +384,7 @@ class NameSupply:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subst:
     """Simultaneous capture-avoiding substitution.
 
@@ -557,6 +562,18 @@ def _scope_name(binder: Name, vmap, nmap, supply):
 # ---------------------------------------------------------------------------
 
 
+_PLAIN = re.compile(r"[\w'#]*")
+
+
+def _text(text: str) -> str:
+    """text as it stands in a template: identifiers, primed or reserved ones
+    too, verbatim, and anything else as `$<length>:` and the text escaped,
+    so that no two texts render alike."""
+    if text.isidentifier() or _PLAIN.fullmatch(text):
+        return text
+    return f"${len(text)}:" + _escape(text)
+
+
 def _escape(text: str) -> str:
     """text with its braces doubled, to stand literally in a template."""
     return text.replace("{", "{{").replace("}", "}}")
@@ -569,9 +586,10 @@ def template(t, slots: tuple) -> tuple[str, int]:
     Field k < len(slots) stands for the free name slots[k] (a positive
     endpoint, either polarity); binders take the next fields in order of
     registration, names as n{...} and variables as v{...}. Everything else
-    prints literally, its braces escaped. Names are looked up by base,
-    index and kind, which both endpoints share, and variables by base and
-    index: plain tuples hash faster than the term classes."""
+    prints literally, labels and free bases through `_text`. Names are
+    looked up by base, index and kind, which both endpoints share, and
+    variables by base and index: plain tuples hash faster than the term
+    classes."""
     nenv = {(n.base, n.index, n.kind): f"n{{{k}}}" for k, n in enumerate(slots)}
     venv: dict = {}
     first = field = len(slots)
@@ -592,10 +610,7 @@ def template(t, slots: tuple) -> tuple[str, int]:
     def name(n: Name) -> str:
         ref = nenv.get((n.base, n.index, n.kind))
         if ref is None:
-            base = n.base
-            if "{" in base or "}" in base:
-                base = _escape(base)
-            ref = f"{base}.{n.index}.{n.kind}"
+            ref = f"{_text(n.base)}.{n.index}.{n.kind}"
         return ref + "~" if n.dual else ref
 
     def val(v) -> str:
@@ -604,10 +619,7 @@ def template(t, slots: tuple) -> tuple[str, int]:
         if isinstance(v, Var):
             ref = venv.get((v.base, v.index))
             if ref is None:
-                base = v.base
-                if "{" in base or "}" in base:
-                    base = _escape(base)
-                ref = f"fv:{base}.{v.index}"
+                ref = f"fv:{_text(v.base)}.{v.index}"
             return ref
         if isinstance(v, Name):
             return name(v)
@@ -641,16 +653,9 @@ def template(t, slots: tuple) -> tuple[str, int]:
                 unbind(venv, x, prev)
             return f"{subject}?({head}).{body}"
         if isinstance(t, Select):
-            l = t.label
-            if "{" in l or "}" in l:
-                l = _escape(l)
-            return f"{subj(t.subject)}<{l}.{go(t.cont)}"
+            return f"{subj(t.subject)}<{_text(t.label)}.{go(t.cont)}"
         if isinstance(t, Branch):
-            arms = []
-            for l, p in t.branches:
-                if "{" in l or "}" in l:
-                    l = _escape(l)
-                arms.append(f"{l}:{go(p)}")
+            arms = [f"{_text(l)}:{go(p)}" for l, p in t.branches]
             return f"{subj(t.subject)}>{{{{{';'.join(arms)}}}}}"
         if isinstance(t, App):
             args = ",".join(val(a) if not isinstance(a, Name) else name(a) for a in t.args)
@@ -693,40 +698,89 @@ def alpha_eq(a, b) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _np_rule(t, kids, packages: dict):
+    cls = t.__class__
+    if cls is SOut or cls is SIn:
+        return cls(tuple(_np_payload(u, k, packages) for u, k in zip(t.payload, kids)), kids[-1])
+    if cls is SSel or cls is SBra:
+        return cls(tuple((l, k) for (l, _), k in zip(t.branches, kids)))
+    if cls is SRec:
+        return SRec(t.var, kids[0])
+    return t  # end, variables, base types; arrows, rejected as payloads
+
+
+def _np_payload(c, inner, packages: dict):
+    """The package type of a payload of type c translated to inner; payloads
+    of one type up to binder names share one, keyed by `canon_key` in
+    packages."""
+    if not (isinstance(c, TBase) or is_session(c)):
+        raise TypeError_(f"unsupported first-order payload {c!r}")
+    key = canon_key(c)
+    got = packages.get(key)
+    if got is None:
+        got = packages[key] = TArrow((package_type(inner),), shared=False)
+    return got
+
+
 def encode_nptype(t):
     """Translate a first-order session type: a communicated channel type C
     becomes the abstraction type (?<lin(C')>;end) -> diamond that its
     package is typed with, where C' is C translated."""
-    if isinstance(t, (SEnd, SVar, TBase)):
-        return t
-    if isinstance(t, SOut):
-        return SOut(tuple(_np_payload(u) for u in t.payload), encode_nptype(t.cont))
-    if isinstance(t, SIn):
-        return SIn(tuple(_np_payload(u) for u in t.payload), encode_nptype(t.cont))
-    if isinstance(t, SSel):
-        return SSel(tuple((l, encode_nptype(s)) for l, s in t.branches))
-    if isinstance(t, SBra):
-        return SBra(tuple((l, encode_nptype(s)) for l, s in t.branches))
-    if isinstance(t, SRec):
-        return SRec(t.var, encode_nptype(t.body))
-    raise TypeError_(f"unsupported first-order type {t!r}")
-
-
-def _np_payload(c):
-    if isinstance(c, TBase):
-        inner = c
-    elif is_session(c):
-        inner = encode_nptype(c)
-    else:
-        raise TypeError_(f"unsupported first-order payload {c!r}")
-    receiver = SIn((TArrow((inner,), shared=False),), SEnd())
-    return TArrow((receiver,), shared=False)
+    if isinstance(t, (TArrow, TChan)):
+        raise TypeError_(f"unsupported first-order type {t!r}")
+    return fold(t, _np_rule, env={})
 
 
 def package_type(c: CType) -> SIn:
     """Session type of the fresh channel the receiving side opens: it
     receives the abstraction that will consume the packaged item."""
-    return SIn((TArrow((c,), shared=False),), SEnd())
+    return SIn((TArrow((c,), shared=False),), END)
+
+
+class Tail:
+    """A step's last sub-computation, returned instead of yielded: the
+    step's frame is released and, when the generator `sub` returns v, the
+    step's result is `then(*args, v)` (v itself without `then`). `then`
+    may return a Tail in turn. The trampoline keeps `(then, *args)` only."""
+
+    __slots__ = ("sub", "then", "args")
+
+    def __init__(self, sub: Generator, then: Optional[Callable] = None, *args) -> None:
+        self.sub, self.then, self.args = sub, then, args
+
+
+def trampoline(gen: Generator):
+    """Run a generator-based recursion on an explicit stack: a step `yield`s
+    the generator of a sub-computation and resumes with its return value,
+    so nesting costs heap, not Python stack; a step that ends in a Tail
+    leaves only its `then` on the stack. Exceptions propagate."""
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    sub, value = gen, None
+    while True:
+        if sub is not None:  # start a step, unwrapping tails
+            while sub.__class__ is Tail:
+                if sub.then is not None:
+                    push((sub.then, *sub.args))  # one tuple per pending step
+                sub = sub.sub
+            push(sub)
+            sub = value = None
+        elif not stack:
+            return value
+        top = stack[-1]
+        if top.__class__ is tuple:
+            pop()
+            value = top[0](*top[1:], value)
+            sub = None
+        else:
+            try:
+                sub = top.send(value)
+                continue
+            except StopIteration as done:
+                pop()
+                value = done.value
+        if value.__class__ is Tail:
+            sub = value
 
 
 def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Process:
@@ -738,9 +792,37 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
     homomorphically. `name_types` assigns each packaged name (and each
     packaging input binder) the channel type it has at that point, so the
     emitted abstractions can be annotated; literal payloads infer theirs.
+    Every clause binds what it is written with, z and x in a package and y
+    and s on the receiving side, drawn fresh for the term at the first
+    packaging and shared: a package binds nothing it forwards, and a
+    consumer never mentions the y and s that a clause in its body shadows.
+    Outputs of equal literals at one type share one package.
     """
     types = dict(name_types or {})
     supply = NameSupply(lambda: used_bases(term))
+    packs: dict = {}  # key of a channel type -> (its translation, package type)
+    packages: dict = {}  # the translations' package types, as in encode_nptype
+    params: dict = {}  # id of a package type -> the parameters of its packages
+    sent: dict = {}  # (id of a package type, literal type, value) -> the payload packing it
+    fixed: dict = {}  # the clauses' binders, and what is built of them alone
+
+    def clause(part: str):
+        if not fixed:
+            z, x, y = (Var(supply.fresh(h)) for h in "zxy")
+            s = Name(supply.fresh("s"), None, False, "session")
+            fixed.update(z=z, x=x, xs=(x,), ys=(y,), s=s, sd=s.dualized(), nil=Inact())
+            fixed["apply"] = App(y, (s,))
+        return fixed[part]
+
+    def pack(c) -> tuple:
+        """A channel type translated, and the type of the channel that carries
+        a package of it; once per type up to binder names and call, so a long
+        protocol holds each once."""
+        key = canon_key(c)
+        if key not in packs:
+            hot = fold(c, _np_rule, env=packages) if is_session(c) else c
+            packs[key] = (hot, package_type(hot))
+        return packs[key]
 
     def lookup(item) -> CType:
         if isinstance(item, Lit):
@@ -749,65 +831,53 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
             return types[item]
         raise TermError(f"no declared type for packaged item {item}")
 
-    def is_packaged(p) -> bool:
-        return isinstance(p, (Name, Lit)) or (isinstance(p, Var) and p in types)
+    def receive(subject, param: tuple, carrier, body: Process) -> Input:
+        consumer = Abs((param,), body, shared=False)
+        feed = Par(clause("apply"), Output(clause("sd"), (consumer,), clause("nil")))
+        return Input(subject, clause("ys"), Res(clause("s"), carrier, feed))
 
-    def go(t: Process) -> Process:
-        if isinstance(t, Inact):
+    def go(t: Process):
+        # a step ends in a Tail that rebuilds its node around the encoded
+        # continuation, so only the pending constructors stay on the stack
+        if isinstance(t, (Inact, App)):
             return t
         if isinstance(t, Output):
-            if len(t.payload) == 1 and is_packaged(t.payload[0]):
-                item = t.payload[0]
-                c = lookup(item)
-                hot = encode_nptype(c) if is_session(c) else c
-                z = Var(supply.fresh("z"))
-                x = Var(supply.fresh("x"))
-                package = Abs(
-                    params=((z, package_type(hot)),),
-                    body=Input(z, (x,), App(x, (item,))),
-                    shared=False,
-                )
-                return Output(t.subject, (package,), go(t.cont))
-            return Output(t.subject, t.payload, go(t.cont))
+            item = t.payload[0] if len(t.payload) == 1 else None
+            if isinstance(item, (Name, Lit)) or (isinstance(item, Var) and item in types):
+                carrier = pack(lookup(item))[1]
+                key = (id(carrier), type(item.value), item.value) if isinstance(item, Lit) else None
+                payload = sent.get(key)
+                if payload is None:  # equal literals share one package
+                    forward = Input(clause("z"), clause("xs"), App(clause("x"), t.payload))
+                    payload = (Abs(params.setdefault(id(carrier), ((clause("z"), carrier),)), forward),)
+                    if key is not None:
+                        sent[key] = payload
+                return Tail(go(t.cont), Output, t.subject, payload)
+            return Tail(go(t.cont), Output, t.subject, t.payload)
         if isinstance(t, Input):
             if len(t.binders) == 1 and t.binders[0] in types:
-                x = t.binders[0]
-                c = lookup(x)
-                hot = encode_nptype(c) if is_session(c) else c
-                y = Var(supply.fresh("y"))
-                s = Name(supply.fresh("s"), None, False, "session")
-                consumer = Abs(((x, hot),), go(t.cont), shared=False)
-                return Input(
-                    t.subject,
-                    (y,),
-                    Res(
-                        s,
-                        package_type(hot),
-                        Par(
-                            App(y, (s,)),
-                            Output(s.dualized(), (consumer,), Inact()),
-                        ),
-                    ),
-                )
-            return Input(t.subject, t.binders, go(t.cont))
+                hot, carrier = pack(lookup(t.binders[0]))
+                return Tail(go(t.cont), receive, t.subject, (t.binders[0], hot), carrier)
+            return Tail(go(t.cont), Input, t.subject, t.binders)
         if isinstance(t, Select):
-            return Select(t.subject, t.label, go(t.cont))
+            return Tail(go(t.cont), Select, t.subject, t.label)
         if isinstance(t, Branch):
-            return Branch(t.subject, tuple((l, go(p)) for l, p in t.branches))
-        if isinstance(t, App):
-            return t
+            arms = []
+            for l, p in t.branches:
+                arms.append((l, (yield go(p))))
+            return Branch(t.subject, tuple(arms))
         if isinstance(t, Par):
-            return Par(go(t.left), go(t.right))
+            left = yield go(t.left)
+            return Tail(go(t.right), Par, left)
         if isinstance(t, Res):
-            return Res(t.binder, encode_nptype(t.annot) if is_session(t.annot) else t.annot, go(t.body))
+            return Tail(go(t.body), Res, t.binder, pack(t.annot)[0])
         raise TermError(f"unsupported construct for the first-order front end: {t!r}")
 
-    out = go(term)
-    leftover = [
-        v for v in iter_subterms(out)
-        if isinstance(v, Output) and any(isinstance(p, Name) for p in v.payload)
-    ]
-    if leftover:
+    out = trampoline(go(term))
+    if any(
+        isinstance(v, Output) and any(isinstance(p, Name) for p in v.payload)
+        for v in iter_subterms(out)
+    ):
         raise TermError("first-order payloads survived the encoding")
     return out
 

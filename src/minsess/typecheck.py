@@ -17,6 +17,21 @@ Shared outputs type their payload with the full linear context threaded
 through (the restrictive reading with an empty linear payload context
 rejects machine-generated servers whose payloads close over linear
 state, and is not what the system's own metatheory uses).
+
+Each rule is a generator that `yield`s the generator of every
+sub-derivation, and `terms.trampoline` runs them from one loop, so depth
+costs heap, not Python stack. A rule's last sub-derivation is a
+`terms.Tail`: the rule's frame is gone while it runs, and only the small
+function that finishes the rule (`_touch`, `_joined`, `_sent`,
+`_received`, `_closed`, `_unscoped`, `_abstracted`) waits on the stack with
+its arguments, so a nested protocol holds no generator per level except
+in `Branch` and `App`. Rules update `lam` and `delta` in place into the
+leftovers, with restore tokens for binders; only `Branch` arms and
+promoted abstractions work on copies. Touched keys travel up as sets; a
+`Par`'s left keys wait as a tuple. A path is a linked tuple
+`(parent, *steps)` ending in `()`, flattened only into `Diagnostic.path`.
+`types_seen` lists the types alone; `check_minimal_typed` tests each as
+it is seen and keeps the path of the first non-minimal one.
 """
 
 from __future__ import annotations
@@ -37,7 +52,9 @@ from .terms import (
     Par,
     Res,
     Select,
+    Tail,
     Var,
+    trampoline,
 )
 from .types import (
     SEnd,
@@ -88,11 +105,37 @@ class CheckResult:
 
 
 class CheckError(Exception):
-    def __init__(self, path: Path, rule: str, message: str) -> None:
+    def __init__(self, path, rule: str, message: str) -> None:
         super().__init__(f"[{rule}] {message}")
         self.path = path
         self.rule = rule
         self.message = message
+
+    def diagnostic(self) -> Diagnostic:
+        return Diagnostic(_steps(self.path), self.rule, self.message)
+
+
+def _union(a: set, b: set) -> set:
+    """a | b, adding the smaller set into the larger."""
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
+
+
+def _touch(key, touched: set) -> set:
+    touched.add(key)
+    return touched
+
+
+def _steps(path) -> Path:
+    """A linked path, `(parent, *steps)` ending in `()`, as the tuple of its
+    steps from the root."""
+    steps: list = []
+    while path:
+        steps += reversed(path[1:])
+        path = path[0]
+    return tuple(reversed(steps))
 
 
 def _is_end(t) -> bool:
@@ -116,12 +159,29 @@ def _compat(actual, expected) -> bool:
 
 
 class _Checker:
-    def __init__(self, gamma: dict) -> None:
-        self.gamma = dict(gamma)
-        self.types_seen: list = []
+    """Process rules leave the leftovers in `lam` and `delta` and return
+    the touched session keys; `value` returns a value's type. A
+    value leaves no touched key: a linear abstraction captures them all."""
 
-    def see(self, path: Path, t) -> None:
-        self.types_seen.append((path, t))
+    def __init__(self, gamma: dict, minimal: bool = False) -> None:
+        self.gamma = dict(gamma)
+        self.duals: dict = {}  # id of a restriction binder or annotation -> its dual
+        self.seen: list = []
+        # with minimal set: the path and type of the first non-minimal type seen
+        self.minimal, self.non_minimal = minimal, None
+
+    def dual(self, x):
+        """x's dual, once per object and call: an encoded protocol restricts
+        one binder at one carrier type again and again (the term holds x)."""
+        got = self.duals.get(id(x))
+        if got is None:
+            got = self.duals[id(x)] = x.dualized() if isinstance(x, Name) else ty.dual(x)
+        return got
+
+    def see(self, path, t) -> None:
+        self.seen.append(t)
+        if self.minimal and self.non_minimal is None and not is_minimal(t):
+            self.non_minimal = (path, t)
 
     # -- gamma scoping -----------------------------------------------------
 
@@ -138,7 +198,7 @@ class _Checker:
 
     # -- subjects ----------------------------------------------------------
 
-    def _subject(self, u, lam: dict, delta: dict, path: Path):
+    def _subject(self, u, lam: dict, delta: dict, path):
         if u in delta:
             return "session", delta[u]
         got = self.gamma.get(u)
@@ -150,56 +210,52 @@ class _Checker:
             raise CheckError(path, "Subj", f"{u} : {ty.format_type(got)} cannot be a subject")
         raise CheckError(path, "Subj", f"unknown channel {u}")
 
+    def _head(self, u, t, cls, path, rule: str, what: str):
+        """t unfolded to its head, which must be a cls."""
+        t = unfold_top(t) if isinstance(t, SRec) else t
+        if not isinstance(t, cls):
+            raise CheckError(path, rule, f"{u} : {ty.format_type(t)} {what}")
+        return t
+
     # -- processes ----------------------------------------------------------
 
-    def proc(self, p, lam: dict, delta: dict, path: Path):
-        """Returns (leftover lam, leftover delta, touched delta keys)."""
-        if isinstance(p, Inact):
-            return dict(lam), dict(delta), frozenset()
+    def proc(self, p, lam: dict, delta: dict, path):
+        """The derivation of p as a generator: it leaves the leftovers in lam
+        and delta and returns the touched session keys."""
+        rule = _RULES.get(p.__class__)
+        if rule is None:
+            raise CheckError(path, "Proc", f"unknown process node {p!r}")
+        return rule(self, p, lam, delta, path)
 
-        if isinstance(p, Output):
-            return self._output(p, lam, delta, path)
+    def _inact(self, p: Inact, lam: dict, delta: dict, path):
+        return set()
+        yield  # a rule is a generator, also one without premises
 
-        if isinstance(p, Input):
-            return self._input(p, lam, delta, path)
+    def _select(self, p: Select, lam: dict, delta: dict, path):
+        kind, t = self._subject(p.subject, lam, delta, path)
+        if kind != "session":
+            raise CheckError(path, "Sel", f"selection needs a session subject, got {p.subject}")
+        t = self._head(p.subject, t, SSel, path, "Sel", "does not offer internal choice")
+        conts = dict(t.branches)
+        if p.label not in conts:
+            raise CheckError(path, "Sel", f"label {p.label} not in {list(conts)}")
+        delta[p.subject] = conts[p.label]
+        return Tail(self.proc(p.cont, lam, delta, (path, "cont")), _touch, p.subject)
+        yield  # a rule is a generator, also one that ends in a tail
 
-        if isinstance(p, Select):
-            kind, t = self._subject(p.subject, lam, delta, path)
-            if kind != "session":
-                raise CheckError(path, "Sel", f"selection needs a session subject, got {p.subject}")
-            t = unfold_top(t) if isinstance(t, SRec) else t
-            if not isinstance(t, SSel):
-                raise CheckError(
-                    path, "Sel",
-                    f"{p.subject} : {ty.format_type(t)} does not offer internal choice",
-                )
-            conts = dict(t.branches)
-            if p.label not in conts:
-                raise CheckError(path, "Sel", f"label {p.label} not in {list(conts)}")
-            d2 = dict(delta)
-            d2[p.subject] = conts[p.label]
-            lam2, d3, touched = self.proc(p.cont, lam, d2, path + ("cont",))
-            return lam2, d3, touched | {p.subject}
+    def _par(self, p: Par, lam: dict, delta: dict, path):
+        left, right = (path, "left"), (path, "right")
+        t1 = yield self.proc(p.left, lam, delta, left)
+        self._require_finished(delta, t1, left)
+        # the left keys wait as a tuple while the right thread runs
+        return Tail(self.proc(p.right, lam, delta, right), _Checker._joined, self, delta, tuple(t1), right)
 
-        if isinstance(p, Branch):
-            return self._branch(p, lam, delta, path)
+    def _joined(self, delta: dict, t1: tuple, right, t2: set) -> set:
+        self._require_finished(delta, t2, right)
+        t2.update(t1)
+        return t2
 
-        if isinstance(p, App):
-            return self._app(p, lam, delta, path)
-
-        if isinstance(p, Par):
-            lam1, d1, t1 = self.proc(p.left, lam, delta, path + ("left",))
-            self._require_finished(d1, t1, path + ("left",))
-            lam2, d2, t2 = self.proc(p.right, lam1, d1, path + ("right",))
-            self._require_finished(d2, t2, path + ("right",))
-            return lam2, d2, t1 | t2
-
-        if isinstance(p, Res):
-            return self._res(p, lam, delta, path)
-
-        raise CheckError(path, "Proc", f"unknown process node {p!r}")
-
-    def _output(self, p: Output, lam: dict, delta: dict, path: Path):
+    def _output(self, p: Output, lam: dict, delta: dict, path):
         for v in p.payload:
             if isinstance(v, Name):
                 raise CheckError(
@@ -207,36 +263,46 @@ class _Checker:
                 )
         kind, t = self._subject(p.subject, lam, delta, path)
         if kind == "session":
-            t = unfold_top(t) if isinstance(t, SRec) else t
-            if not isinstance(t, SOut):
-                raise CheckError(
-                    path, "Send",
-                    f"{p.subject} : {ty.format_type(t)} cannot send here",
-                )
+            t = self._head(p.subject, t, SOut, path, "Send", "cannot send here")
             if len(t.payload) != len(p.payload):
                 raise CheckError(
                     path, "Send",
                     f"arity {len(p.payload)} against payload type tuple {len(t.payload)}",
                 )
-            touched = {p.subject}
-            for i, (v, u) in enumerate(zip(p.payload, t.payload)):
-                self.see(path + ("payload", i), u)
-                lam, delta, tch = self._value_against(v, u, lam, delta, path + ("payload", i))
-                touched |= tch
-            d2 = dict(delta)
-            d2[p.subject] = t.cont
-            lam2, d3, tch = self.proc(p.cont, lam, d2, path + ("cont",))
-            return lam2, d3, touched | tch
-        # shared: one payload, channel type unchanged
-        if len(p.payload) != 1:
+            expected = t.payload
+        elif len(p.payload) != 1:
             raise CheckError(path, "Req", "shared outputs carry exactly one value")
-        u = t.payload
-        self.see(path + ("payload", 0), u)
-        lam, delta, touched = self._value_against(p.payload[0], u, lam, delta, path + ("payload", 0))
-        lam2, d2, tch = self.proc(p.cont, lam, delta, path + ("cont",))
-        return lam2, d2, touched | tch
+        else:  # shared: one payload, channel type unchanged
+            expected = (t.payload,)
+        return self._sent(p, lam, delta, path, kind, t, expected, 0, None)
+        yield  # a rule is a generator, also one that ends in a tail
 
-    def _bind_value_var(self, x: Var, u, lam: dict, path: Path):
+    def _sent(self, p: Output, lam: dict, delta: dict, path, kind, t, expected, i: int, got):
+        """With payload value i - 1 typed got: the values from i on, an
+        abstraction as a tail, then the continuation."""
+        while True:
+            if i and not _compat(got, expected[i - 1]):
+                raise CheckError(
+                    (path, "payload", i - 1), "Val",
+                    f"value of type {ty.format_type(got)} where "
+                    f"{ty.format_type(expected[i - 1])} is required",
+                )
+            if i == len(p.payload):
+                break
+            v, here = p.payload[i], (path, "payload", i)
+            self.see(here, expected[i])
+            i += 1
+            if isinstance(v, Abs):
+                args = (self, p, lam, delta, path, kind, t, expected, i)
+                return Tail(self.value(v, lam, delta, here), _Checker._sent, *args)
+            got = self._atom(v, lam, delta, here)
+        cont = self.proc(p.cont, lam, delta, (path, "cont"))
+        if kind != "session":
+            return Tail(cont)
+        delta[p.subject] = t.cont
+        return Tail(cont, _touch, p.subject)
+
+    def _bind_value_var(self, x: Var, u, lam: dict):
         """Bind an input binder according to its payload type; returns a
         restore token."""
         if isinstance(u, TArrow) and not u.shared:
@@ -246,7 +312,7 @@ class _Checker:
         prev = self._gamma_add(x, u)
         return ("gamma", x, prev)
 
-    def _release_binder(self, token, lam: dict, path: Path, rule: str) -> None:
+    def _release_binder(self, token, lam: dict, path, rule: str) -> None:
         where, x, prev = token
         if where == "lam":
             if x in lam:
@@ -256,67 +322,55 @@ class _Checker:
         else:
             self._gamma_restore(x, prev)
 
-    def _input(self, p: Input, lam: dict, delta: dict, path: Path):
+    def _input(self, p: Input, lam: dict, delta: dict, path):
         kind, t = self._subject(p.subject, lam, delta, path)
         if kind == "session":
-            t = unfold_top(t) if isinstance(t, SRec) else t
-            if not isinstance(t, SIn):
-                raise CheckError(
-                    path, "Rcv",
-                    f"{p.subject} : {ty.format_type(t)} cannot receive here",
-                )
+            t = self._head(p.subject, t, SIn, path, "Rcv", "cannot receive here")
             if len(t.payload) != len(p.binders):
                 raise CheckError(
                     path, "Rcv",
                     f"{len(p.binders)} binders against payload type tuple {len(t.payload)}",
                 )
-            lam2 = dict(lam)
-            tokens = []
-            for x, u in zip(p.binders, t.payload):
-                self.see(path + ("binder",), u)
-                tokens.append(self._bind_value_var(x, u, lam2, path))
-            d2 = dict(delta)
-            d2[p.subject] = t.cont
-            lam3, d3, touched = self.proc(p.cont, lam2, d2, path + ("cont",))
-            for token in reversed(tokens):
-                self._release_binder(token, lam3, path, "Rcv")
-            return lam3, d3, touched | {p.subject}
-        # shared input: one binder, channel type unchanged
-        if len(p.binders) != 1:
+            expected = t.payload
+            delta[p.subject] = t.cont
+        elif len(p.binders) != 1:
             raise CheckError(path, "Acc", "shared inputs bind exactly one value")
-        u = t.payload
-        self.see(path + ("binder",), u)
-        lam2 = dict(lam)
-        token = self._bind_value_var(p.binders[0], u, lam2, path)
-        lam3, d2, touched = self.proc(p.cont, lam2, delta, path + ("cont",))
-        self._release_binder(token, lam3, path, "Acc")
-        return lam3, d2, touched
+        else:  # shared: one binder, channel type unchanged
+            expected = (t.payload,)
+        for u in expected:
+            self.see((path, "binder"), u)
+        tokens = tuple(self._bind_value_var(x, u, lam) for x, u in zip(p.binders, expected))
+        cont = self.proc(p.cont, lam, delta, (path, "cont"))
+        return Tail(cont, _Checker._received, self, p.subject, lam, path, kind, tokens)
+        yield  # a rule is a generator, also one that ends in a tail
 
-    def _branch(self, p: Branch, lam: dict, delta: dict, path: Path):
+    def _received(self, subject, lam: dict, path, kind: str, tokens: tuple, touched: set) -> set:
+        for token in reversed(tokens):
+            self._release_binder(token, lam, path, "Rcv" if kind == "session" else "Acc")
+        if kind == "session":
+            touched.add(subject)
+        return touched
+
+    def _branch(self, p: Branch, lam: dict, delta: dict, path):
         kind, t = self._subject(p.subject, lam, delta, path)
         if kind != "session":
             raise CheckError(path, "Bra", f"branching needs a session subject, got {p.subject}")
-        t = unfold_top(t) if isinstance(t, SRec) else t
-        if not isinstance(t, SBra):
-            raise CheckError(
-                path, "Bra",
-                f"{p.subject} : {ty.format_type(t)} does not offer external choice",
-            )
+        t = self._head(p.subject, t, SBra, path, "Bra", "does not offer external choice")
         offered = dict(t.branches)
         have = [l for l, _ in p.branches]
         if set(have) != set(offered):
             raise CheckError(
                 path, "Bra", f"labels {have} against type labels {sorted(offered)}"
             )
+        # each arm threads its own copies; the first arm's leftovers stand
         results = []
         for label, q in p.branches:
-            d2 = dict(delta)
-            d2[p.subject] = offered[label]
-            results.append(
-                (label, self.proc(q, dict(lam), d2, path + ("branch", label)))
-            )
-        base_label, (lam0, d0, t0) = results[0]
-        for label, (lam1, d1, t1) in results[1:]:
+            lam1, d1 = dict(lam), dict(delta)
+            d1[p.subject] = offered[label]
+            t1 = yield self.proc(q, lam1, d1, (path, "branch", label))
+            results.append((label, lam1, d1, t1))
+        base_label, lam0, d0, t0 = results[0]
+        for label, lam1, d1, t1 in results[1:]:
             if set(lam0) != set(lam1) or set(d0) != set(d1):
                 raise CheckError(
                     path, "Bra",
@@ -328,24 +382,29 @@ class _Checker:
                         path, "Bra",
                         f"branches {base_label} and {label} leave {k} at different types",
                     )
-            t0 = t0 | t1
-        return lam0, d0, t0 | {p.subject}
+            t0 = _union(t0, t1)
+        lam.clear()
+        lam.update(lam0)
+        delta.clear()
+        delta.update(d0)
+        t0.add(p.subject)
+        return t0
 
-    def _app(self, p: App, lam: dict, delta: dict, path: Path):
-        ftype, lam, delta, touched = self.value(p.fun, lam, delta, path + ("fun",))
+    def _app(self, p: App, lam: dict, delta: dict, path):
+        here = (path, "fun")
+        ftype = yield self.value(p.fun, lam, delta, here)
         if not isinstance(ftype, TArrow):
             raise CheckError(
                 path, "App", f"cannot apply a value of type {ty.format_type(ftype)}"
             )
-        self.see(path + ("fun",), ftype)
+        self.see(here, ftype)
         if len(p.args) != len(ftype.params):
             raise CheckError(
                 path, "App",
                 f"{len(p.args)} arguments against {len(ftype.params)} parameters",
             )
-        lam2, d2 = dict(lam), dict(delta)
         for i, (a, c) in enumerate(zip(p.args, ftype.params)):
-            here = path + ("arg", i)
+            here = (path, "arg", i)
             if isinstance(a, Lit):
                 if not (isinstance(c, TBase) and equal_types(a.btype, c)):
                     raise CheckError(
@@ -353,20 +412,20 @@ class _Checker:
                         f"literal {a.value!r} against parameter {ty.format_type(c)}",
                     )
                 continue
-            if a in d2:
+            if a in delta:
                 if not is_session(c):
                     raise CheckError(
                         here, "App",
                         f"session channel {a} against parameter {ty.format_type(c)}",
                     )
-                if not equal_types(d2[a], c):
+                if not equal_types(delta[a], c):
                     raise CheckError(
                         here, "App",
-                        f"{a} : {ty.format_type(d2[a])} against parameter {ty.format_type(c)}",
+                        f"{a} : {ty.format_type(delta[a])} against parameter {ty.format_type(c)}",
                     )
-                # the abstraction takes over the whole endpoint
-                del d2[a]
-                touched = touched | {a}
+                # the abstraction takes over the whole endpoint, which is
+                # gone from delta, and so from what touched can report
+                del delta[a]
                 continue
             got = self.gamma.get(a)
             if got is None:
@@ -376,38 +435,46 @@ class _Checker:
                     here, "App",
                     f"{a} : {ty.format_type(got)} against parameter {ty.format_type(c)}",
                 )
-        return lam2, d2, touched
+        return set()
 
-    def _res(self, p: Res, lam: dict, delta: dict, path: Path):
-        self.see(path + ("annot",), p.annot)
-        body_path = path + ("body",)
+    def _res(self, p: Res, lam: dict, delta: dict, path):
+        self.see((path, "annot"), p.annot)
+        body_path = (path, "body")
         if is_session(p.annot):
-            s, sd = p.binder, p.binder.dualized()
-            d2 = dict(delta)
-            saved = [(k, d2.get(k, _MISSING)) for k in (s, sd)]
-            d2[s] = p.annot
-            d2[sd] = ty.dual(p.annot)
-            lam2, d3, touched = self.proc(p.body, lam, d2, body_path)
-            for k in (s, sd):
-                t = d3.pop(k, _MISSING)
-                if t is _MISSING:
-                    continue
-                if not _is_end(t):
-                    raise CheckError(
-                        body_path, "Res",
-                        f"restricted endpoint {k} left at {ty.format_type(t)}",
-                    )
-            for k, prev in saved:
-                if prev is not _MISSING:
-                    d3[k] = prev
-            return lam2, d3, touched - {s, sd}
+            s, sd = p.binder, self.dual(p.binder)
+            prev, prev_d = delta.get(s, _MISSING), delta.get(sd, _MISSING)
+            delta[s] = p.annot
+            delta[sd] = self.dual(p.annot)
+            body = self.proc(p.body, lam, delta, body_path)
+            return Tail(body, _Checker._closed, self, delta, s, prev, prev_d, body_path)
         # shared restriction
         prev = self._gamma_add(p.binder, p.annot)
-        lam2, d2, touched = self.proc(p.body, lam, delta, body_path)
-        self._gamma_restore(p.binder, prev)
-        return lam2, d2, touched
+        return Tail(self.proc(p.body, lam, delta, body_path), _Checker._unscoped, self, p.binder, prev)
+        yield  # a rule is a generator, also one that ends in a tail
 
-    def _require_finished(self, delta: dict, touched: frozenset, path: Path) -> None:
+    def _closed(self, delta: dict, s: Name, prev, prev_d, body_path, touched: set) -> set:
+        sd = self.dual(s)
+        for k in (s, sd):
+            t = delta.pop(k, _MISSING)
+            if t is _MISSING:
+                continue
+            if not _is_end(t):
+                raise CheckError(
+                    body_path, "Res",
+                    f"restricted endpoint {k} left at {ty.format_type(t)}",
+                )
+        for k, before in ((s, prev), (sd, prev_d)):
+            if before is not _MISSING:
+                delta[k] = before
+        touched.discard(s)
+        touched.discard(sd)
+        return touched
+
+    def _unscoped(self, key, prev, touched: set) -> set:
+        self._gamma_restore(key, prev)
+        return touched
+
+    def _require_finished(self, delta: dict, touched: set, path) -> None:
         for k in touched:
             if k in delta and not _is_end(delta[k]):
                 raise CheckError(
@@ -417,113 +484,82 @@ class _Checker:
 
     # -- values --------------------------------------------------------------
 
-    def value(self, v, lam: dict, delta: dict, path: Path):
-        """Returns (type, leftover lam, leftover delta, touched)."""
+    def _atom(self, v, lam: dict, delta: dict, path):
+        """The type of a value other than an abstraction; consumes a linear
+        variable from lam."""
         if isinstance(v, Lit):
-            return v.btype, dict(lam), dict(delta), frozenset()
+            return v.btype
         if isinstance(v, Var):
             if v in lam:
-                lam2 = dict(lam)
-                t = lam2.pop(v)
-                return t, lam2, dict(delta), frozenset()
+                return lam.pop(v)
             got = self.gamma.get(v)
             if got is not None:
                 if isinstance(got, TChan):
                     raise CheckError(path, "Var", f"channel {v} used as a value")
-                return got, dict(lam), dict(delta), frozenset()
+                return got
             if v in delta:
                 raise CheckError(path, "Var", f"session channel {v} used as a value")
             raise CheckError(path, "Var", f"unknown variable {v}")
-        if isinstance(v, Abs):
-            return self._abs(v, lam, delta, path)
         if isinstance(v, Name):
             raise CheckError(path, "Val", f"names are not values: {v}")
         raise CheckError(path, "Val", f"unknown value node {v!r}")
 
-    def _abs(self, v: Abs, lam: dict, delta: dict, path: Path):
+    def value(self, v, lam: dict, delta: dict, path):
+        """A value's type; an abstraction's body is a sub-derivation."""
+        if not isinstance(v, Abs):
+            return self._atom(v, lam, delta, path)
         for _, c in v.params:
-            self.see(path + ("param",), c)
-        arrow = TArrow(tuple(c for _, c in v.params), v.shared)
-        body_path = path + ("abs-body",)
+            self.see((path, "param"), c)
+        body_path = (path, "abs-body")
+        # a promoted body sees no linear context at all; a linear one may
+        # capture anything in scope
+        lam_b, d_b = ({}, {}) if v.shared else (lam, delta)
+        saved = tuple((x, d_b.get(x, _MISSING)) for x, c in v.params if is_session(c))
+        d_b.update((x, c) for x, c in v.params if is_session(c))
+        tokens = tuple((x, self._gamma_add(x, c)) for x, c in v.params if not is_session(c))
+        body = self.proc(v.body, lam_b, d_b, body_path)
+        return Tail(body, _Checker._abstracted, self, v, delta, lam_b, d_b, body_path, saved, tokens)
+        yield  # a value is a generator, also one that ends in a tail
 
-        if v.shared:
-            # promoted: the body sees no linear context at all
-            d_body: dict = {}
-            tokens = []
-            for x, c in v.params:
-                if is_session(c):
-                    d_body[x] = c
-                else:
-                    tokens.append(self._gamma_add(x, c))
-            lam_b, d_b, _ = self.proc(v.body, {}, d_body, body_path)
-            for (x, c), tok in zip(
-                [(x, c) for x, c in v.params if not is_session(c)], tokens
-            ):
-                self._gamma_restore(x, tok)
-            if lam_b:
-                raise CheckError(body_path, "Prom", "shared abstraction kept linear leftovers")
-            for x, c in v.params:
-                if is_session(c):
-                    t = d_b.get(x)
-                    if t is None or not _is_end(t):
-                        raise CheckError(
-                            body_path, "Prom",
-                            f"parameter {x} not driven to end "
-                            f"({'missing' if t is None else ty.format_type(t)})",
-                        )
-            return arrow, dict(lam), dict(delta), frozenset()
-
-        # linear abstraction: may capture anything in scope
-        d2 = dict(delta)
-        saved = []
-        for x, c in v.params:
-            if is_session(c):
-                saved.append((x, d2.get(x, _MISSING)))
-                d2[x] = c
-        tokens = []
-        for x, c in v.params:
-            if not is_session(c):
-                tokens.append((x, self._gamma_add(x, c)))
-        lam_b, d_b, touched = self.proc(v.body, lam, d2, body_path)
+    def _abstracted(self, v: Abs, delta: dict, lam_b: dict, d_b: dict, body_path,
+                    saved: tuple, tokens: tuple, touched: set) -> TArrow:
+        rule = "Prom" if v.shared else "Abs"
         for x, tok in tokens:
             self._gamma_restore(x, tok)
-        for x, c in v.params:
-            if is_session(c):
-                t = d_b.pop(x, _MISSING)
-                if t is _MISSING or not _is_end(t):
-                    raise CheckError(
-                        body_path, "Abs",
-                        f"parameter {x} not driven to end "
-                        f"({'missing' if t is _MISSING else ty.format_type(t)})",
-                    )
+        if v.shared and lam_b:
+            raise CheckError(body_path, rule, "shared abstraction kept linear leftovers")
+        for x, _ in saved:
+            t = d_b.pop(x, _MISSING)
+            if t is _MISSING or not _is_end(t):
+                raise CheckError(
+                    body_path, rule,
+                    f"parameter {x} not driven to end "
+                    f"({'missing' if t is _MISSING else ty.format_type(t)})",
+                )
+        if v.shared:
+            return TArrow(tuple(c for _, c in v.params), True)
         for x, prev in saved:
             if prev is not _MISSING:
-                d_b[x] = prev
+                delta[x] = prev
         # endpoints the body touched are captured: they must be finished,
-        # and they belong to the closure, not to the surrounding process
+        # and they belong to the closure, not to the surrounding process,
+        # which is left with no touched endpoint in delta
         param_vars = {x for x, _ in v.params}
-        captured = {k for k in touched - param_vars if k in d_b}
+        captured = {k for k in touched - param_vars if k in delta}
         for k in captured:
-            if not _is_end(d_b[k]):
+            if not _is_end(delta[k]):
                 raise CheckError(
-                    body_path, "Abs",
-                    f"captured endpoint {k} left at {ty.format_type(d_b[k])}",
+                    body_path, rule,
+                    f"captured endpoint {k} left at {ty.format_type(delta[k])}",
                 )
-            del d_b[k]
-        return arrow, lam_b, d_b, frozenset(touched - param_vars)
-
-    def _value_against(self, v, expected, lam: dict, delta: dict, path: Path):
-        got, lam2, d2, touched = self.value(v, lam, delta, path)
-        if not _compat(got, expected):
-            raise CheckError(
-                path, "Val",
-                f"value of type {ty.format_type(got)} where "
-                f"{ty.format_type(expected)} is required",
-            )
-        return lam2, d2, touched
+            del delta[k]
+        return TArrow(tuple(c for _, c in v.params), False)
 
 
 _MISSING = object()
+_RULES = {Inact: _Checker._inact, Output: _Checker._output, Input: _Checker._input,
+          Select: _Checker._select, Branch: _Checker._branch, App: _Checker._app,
+          Par: _Checker._par, Res: _Checker._res}
 
 
 def _result(
@@ -535,7 +571,7 @@ def _result(
         delta={k: t for k, t in delta.items() if not _is_end(t)},
     )
     ok = not diagnostics
-    return CheckResult(ok, leftover, diagnostics, checker.types_seen)
+    return CheckResult(ok, leftover, diagnostics, checker.seen)
 
 
 def check_process(
@@ -546,14 +582,18 @@ def check_process(
     """Typecheck a process; verdict ok iff a derivation exists (and, when
     required, nothing linear is left unconsumed)."""
     envs = envs or TypeEnvs()
-    ck = _Checker(envs.gamma)
+    return _derive(_Checker(envs.gamma), envs, p, require_consumed)
+
+
+def _derive(ck: _Checker, envs: TypeEnvs, p, require_consumed: bool) -> CheckResult:
     for t in list(envs.gamma.values()) + list(envs.lam.values()) + list(envs.delta.values()):
-        ck.see(("env",), t)
+        ck.see(((), "env"), t)
+    lam, delta = dict(envs.lam), dict(envs.delta)
     try:
-        lam, delta, touched = ck.proc(p, dict(envs.lam), dict(envs.delta), ())
+        touched = trampoline(ck.proc(p, lam, delta, ()))
         ck._require_finished(delta, touched, ())
     except CheckError as e:
-        return _result(ck, envs.lam, envs.delta, [Diagnostic(e.path, e.rule, e.message)])
+        return _result(ck, envs.lam, envs.delta, [e.diagnostic()])
     diagnostics: list[Diagnostic] = []
     if require_consumed:
         if lam:
@@ -571,23 +611,23 @@ def check_value(envs: Optional[TypeEnvs], v):
     """Type a value; returns (type or None, CheckResult)."""
     envs = envs or TypeEnvs()
     ck = _Checker(envs.gamma)
+    lam, delta = dict(envs.lam), dict(envs.delta)
     try:
-        vtype, lam, delta, _ = ck.value(v, dict(envs.lam), dict(envs.delta), ())
+        vtype = trampoline(ck.value(v, lam, delta, ()))
     except CheckError as e:
-        return None, _result(ck, envs.lam, envs.delta, [Diagnostic(e.path, e.rule, e.message)])
+        return None, _result(ck, envs.lam, envs.delta, [e.diagnostic()])
     return vtype, _result(ck, lam, delta, [])
 
 
 def check_minimal_typed(p, envs: Optional[TypeEnvs] = None) -> CheckResult:
     """check_process, plus: every type the derivation mentions is minimal."""
-    result = check_process(envs, p)
-    if not result.ok:
-        return result
-    for path, t in result.types_seen:
-        if not is_minimal(t):
-            result.ok = False
-            result.diagnostics.append(
-                Diagnostic(path, "minimal", f"non-minimal type {ty.format_type(t)}")
-            )
-            return result
+    envs = envs or TypeEnvs()
+    ck = _Checker(envs.gamma, minimal=True)
+    result = _derive(ck, envs, p, True)
+    if result.ok and ck.non_minimal is not None:
+        path, t = ck.non_minimal
+        result.ok = False
+        result.diagnostics.append(
+            Diagnostic(_steps(path), "minimal", f"non-minimal type {ty.format_type(t)}")
+        )
     return result

@@ -8,13 +8,30 @@ case). `gdecomp` flattens an arbitrary session type into a list of
 minimal ones; `rsdecomp` and `findex` handle the recursive bookkeeping
 needed when a protocol is split across a tuple of channels.
 
+Every query is one rule over one traversal. `_CHILDREN` lists each node's
+children, payloads and parameters first and the continuations last, and
+`fold` walks them post-order on an explicit stack, so that a protocol
+thousands of prefixes long costs no Python stack depth. A query's rule
+maps a node and the values of its children to the node's value. `dual`
+and `gdecomp` follow the continuation spine alone; `gdecomp` decomposes
+each payload by a call of its own, so that nesting, not length, costs
+stack. A selection's arm takes the duals of its continuation's parts,
+which are minimal, instead of decomposing the dualized continuation; the
+two agree unless the continuation's spine holds a recursion binder that
+is not tail-recursive, and such an arm decomposes its dual as before. The
+binder-scoped queries, `canon_key`, `subst_tvar` and `free_tvars`, pass
+an environment down the same stack, which a recursion binder extends for
+its body. The printers build ropes of nested tuples that `_flatten` joins
+once, so a key costs time linear in its length. `equal_types` is a loop
+over a worklist of pairs.
+
 Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 
 class TypeError_(Exception):
@@ -26,72 +43,64 @@ class TypeError_(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SEnd:
+class _Printed:
+    """Types print in their surface syntax."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return format_type(self)
+
+
+@dataclass(frozen=True, slots=True)
+class SEnd(_Printed):
     """Completed protocol."""
 
-    def __str__(self) -> str:
-        return format_type(self)
+
+@dataclass(frozen=True, slots=True)
+class _Prefix(_Printed):
+    payload: tuple["VType", ...]
+    cont: "SType"
+
+    def __post_init__(self) -> None:
+        if not self.payload:
+            raise TypeError_(f"{self._what} type needs a non-empty payload tuple")
 
 
-@dataclass(frozen=True)
-class SOut:
+@dataclass(frozen=True, slots=True)
+class SOut(_Prefix):
     """Send a tuple of values, then continue: !<U,...>;S."""
 
-    payload: tuple["VType", ...]
-    cont: "SType"
-
-    def __post_init__(self) -> None:
-        if not self.payload:
-            raise TypeError_("output type needs a non-empty payload tuple")
-
-    def __str__(self) -> str:
-        return format_type(self)
+    _what = "output"
 
 
-@dataclass(frozen=True)
-class SIn:
+@dataclass(frozen=True, slots=True)
+class SIn(_Prefix):
     """Receive a tuple of values, then continue: ?<U,...>;S."""
 
-    payload: tuple["VType", ...]
-    cont: "SType"
+    _what = "input"
+
+
+@dataclass(frozen=True, slots=True)
+class _Choice(_Printed):
+    branches: tuple[tuple[str, "SType"], ...]
 
     def __post_init__(self) -> None:
-        if not self.payload:
-            raise TypeError_("input type needs a non-empty payload tuple")
-
-    def __str__(self) -> str:
-        return format_type(self)
+        _check_branches(self.branches)
 
 
-@dataclass(frozen=True)
-class SSel:
+@dataclass(frozen=True, slots=True)
+class SSel(_Choice):
     """Internal choice +{l:S, ...}: this side picks the label."""
 
-    branches: tuple[tuple[str, "SType"], ...]
 
-    def __post_init__(self) -> None:
-        _check_branches(self.branches)
-
-    def __str__(self) -> str:
-        return format_type(self)
-
-
-@dataclass(frozen=True)
-class SBra:
+@dataclass(frozen=True, slots=True)
+class SBra(_Choice):
     """External choice &{l:S, ...}: this side offers all labels."""
 
-    branches: tuple[tuple[str, "SType"], ...]
 
-    def __post_init__(self) -> None:
-        _check_branches(self.branches)
-
-    def __str__(self) -> str:
-        return format_type(self)
-
-
-@dataclass(frozen=True)
-class SRec:
+@dataclass(frozen=True, slots=True)
+class SRec(_Printed):
     """rec t . S, contractive (body is not a bare variable)."""
 
     var: str
@@ -101,30 +110,21 @@ class SRec:
         if isinstance(self.body, SVar):
             raise TypeError_("non-contractive recursive type")
 
-    def __str__(self) -> str:
-        return format_type(self)
 
-
-@dataclass(frozen=True)
-class SVar:
+@dataclass(frozen=True, slots=True)
+class SVar(_Printed):
     var: str
 
-    def __str__(self) -> str:
-        return format_type(self)
 
-
-@dataclass(frozen=True)
-class TBase:
+@dataclass(frozen=True, slots=True)
+class TBase(_Printed):
     """Opaque base type (Int, Bool)."""
 
     name: str
 
-    def __str__(self) -> str:
-        return format_type(self)
 
-
-@dataclass(frozen=True)
-class TArrow:
+@dataclass(frozen=True, slots=True)
+class TArrow(_Printed):
     """Abstraction type over channel parameters: lin(C,...) or un(C,...)."""
 
     params: tuple["CType", ...]
@@ -134,18 +134,12 @@ class TArrow:
         if not self.params:
             raise TypeError_("arrow type needs at least one parameter")
 
-    def __str__(self) -> str:
-        return format_type(self)
 
-
-@dataclass(frozen=True)
-class TChan:
+@dataclass(frozen=True, slots=True)
+class TChan(_Printed):
     """Shared channel type chan U carrying values of type U."""
 
     payload: "VType"
-
-    def __str__(self) -> str:
-        return format_type(self)
 
 
 SType = Union[SEnd, SOut, SIn, SSel, SBra, SRec, SVar]
@@ -156,6 +150,7 @@ AnyType = Union[SType, TChan, TArrow, TBase]
 
 INT = TBase("Int")
 BOOL = TBase("Bool")
+END = SEnd()
 
 
 def _check_branches(branches: tuple[tuple[str, "SType"], ...]) -> None:
@@ -171,6 +166,83 @@ def is_session(t: AnyType) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The child table and the fold
+# ---------------------------------------------------------------------------
+
+
+def _arms(t) -> tuple:
+    return tuple(s for _, s in t.branches)
+
+
+# node class -> its children: payloads and parameters first, continuations last
+_CHILDREN: dict = {
+    SEnd: lambda t: (), SVar: lambda t: (), TBase: lambda t: (),
+    SOut: lambda t: t.payload + (t.cont,), SIn: lambda t: t.payload + (t.cont,),
+    SSel: _arms, SBra: _arms, SRec: lambda t: (t.body,),
+    TArrow: lambda t: t.params, TChan: lambda t: (t.payload,),
+}
+# the continuations alone: no payloads, and no children for value types
+_SPINE: dict = {
+    **dict.fromkeys(_CHILDREN, _CHILDREN[SEnd]),
+    SOut: lambda t: (t.cont,), SIn: lambda t: (t.cont,),
+    SSel: _arms, SBra: _arms, SRec: _CHILDREN[SRec],
+}
+
+
+def fold(t: AnyType, rule: Callable, bind: Callable = None, env=None, spine: bool = False):
+    """Post-order fold of t on an explicit stack.
+
+    `rule(node, kids, env)` gives a node's value from its children's values,
+    in `_CHILDREN` order (continuations only, with `spine`). `bind(rec,
+    env)` gives the environment a recursion binder's body sees, and the
+    binder's own rule sees it too; every other node passes env unchanged."""
+    table = _SPINE if spine else _CHILDREN
+    out: list = []
+    stack = [(t, env, -1)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node, env, n = pop()
+        if n >= 0:
+            kids = out[len(out) - n:]
+            del out[len(out) - n:]
+            out.append(rule(node, kids, env))
+            continue
+        children = table.get(node.__class__)
+        if children is None:
+            raise TypeError_(f"unknown type node {node!r}")
+        kids = children(node)
+        if bind is not None and node.__class__ is SRec:
+            env = bind(node, env)
+        if kids:
+            push((node, env, len(kids)))
+            for k in reversed(kids):
+                push((k, env, -1))
+        else:
+            out.append(rule(node, (), env))
+    return out[0]
+
+
+def _joined(parts, sep: str) -> list:
+    """parts with sep between each two, as one level of a rope."""
+    out = [sep] * (2 * len(parts) - 1)
+    out[::2] = parts
+    return out
+
+
+def _flatten(rope) -> str:
+    """Join a rope, nested tuples and lists of strings, left to right."""
+    out: list[str] = []
+    stack = [rope]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str:
+            out.append(x)
+        else:
+            stack.extend(reversed(x))
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
 # Recursion-variable plumbing
 # ---------------------------------------------------------------------------
 
@@ -178,64 +250,48 @@ def is_session(t: AnyType) -> bool:
 def free_tvars(t: AnyType) -> set[str]:
     out: set[str] = set()
 
-    def go(t: AnyType, bound: frozenset[str]) -> None:
-        if isinstance(t, SVar):
-            if t.var not in bound:
-                out.add(t.var)
-        elif isinstance(t, (SOut, SIn)):
-            for u in t.payload:
-                go(u, bound)
-            go(t.cont, bound)
-        elif isinstance(t, (SSel, SBra)):
-            for _, s in t.branches:
-                go(s, bound)
-        elif isinstance(t, SRec):
-            go(t.body, bound | {t.var})
-        elif isinstance(t, TArrow):
-            for c in t.params:
-                go(c, bound)
-        elif isinstance(t, TChan):
-            go(t.payload, bound)
+    def rule(t, kids, bound) -> None:
+        if t.__class__ is SVar and t.var not in bound:
+            out.add(t.var)
 
-    go(t, frozenset())
+    fold(t, rule, lambda r, bound: bound | {r.var}, frozenset())
     return out
 
 
 def subst_tvar(t: AnyType, var: str, repl: SType) -> AnyType:
-    """Capture-avoiding substitution of a session type for a variable."""
-    repl_free = free_tvars(repl)
+    """Capture-avoiding substitution of a session type for a variable.
 
-    def go(t: AnyType) -> AnyType:
-        if isinstance(t, SVar):
-            return repl if t.var == var else t
-        if isinstance(t, SEnd) or isinstance(t, TBase):
-            return t
-        if isinstance(t, SOut):
-            return SOut(tuple(go(u) for u in t.payload), go(t.cont))
-        if isinstance(t, SIn):
-            return SIn(tuple(go(u) for u in t.payload), go(t.cont))
-        if isinstance(t, SSel):
-            return SSel(tuple((l, go(s)) for l, s in t.branches))
-        if isinstance(t, SBra):
-            return SBra(tuple((l, go(s)) for l, s in t.branches))
-        if isinstance(t, SRec):
-            if t.var == var:
-                return t
-            if t.var in repl_free:
-                fresh = t.var
-                taken = repl_free | free_tvars(t.body) | {var}
-                while fresh in taken:
-                    fresh += "'"
-                body = subst_tvar(t.body, t.var, SVar(fresh))
-                return SRec(fresh, go(body))
-            return SRec(t.var, go(t.body))
-        if isinstance(t, TArrow):
-            return TArrow(tuple(go(c) for c in t.params), t.shared)
-        if isinstance(t, TChan):
-            return TChan(go(t.payload))
-        raise TypeError_(f"unknown type node {t!r}")
+    The environment maps each variable to its replacement and that
+    replacement's free variables. A binder drops its own variable and,
+    where it would capture a free variable of a replacement, is renamed by
+    priming."""
 
-    return go(t)
+    def bind(r: SRec, env: dict) -> dict:
+        env = {v: s for v, s in env.items() if v != r.var}
+        danger = set().union(*(free for _, free in env.values()))
+        if r.var in danger:
+            taken = danger | free_tvars(r.body) | set(env)
+            fresh = r.var
+            while fresh in taken:
+                fresh += "'"
+            env[r.var] = (SVar(fresh), {fresh})
+        return env
+
+    def rule(t, kids, env):
+        cls = t.__class__
+        if cls is SVar:
+            return env[t.var][0] if t.var in env else t
+        if cls is SOut or cls is SIn:
+            return cls(tuple(kids[:-1]), kids[-1])
+        if cls is SSel or cls is SBra:
+            return cls(tuple(zip([l for l, _ in t.branches], kids)))
+        if cls is SRec:
+            return SRec(env[t.var][0].var if t.var in env else t.var, kids[0])
+        if cls is TArrow:
+            return TArrow(tuple(kids), t.shared)
+        return TChan(kids[0]) if cls is TChan else t
+
+    return fold(t, rule, bind, {var: (repl, free_tvars(repl))})
 
 
 def unfold(t: SRec) -> SType:
@@ -245,52 +301,33 @@ def unfold(t: SRec) -> SType:
 
 def unfold_top(t: SType, limit: int = 64) -> SType:
     """Unfold until the head is not a recursive binder."""
-    n = 0
-    while isinstance(t, SRec):
+    for _ in range(limit + 1):
+        if not isinstance(t, SRec):
+            return t
         t = unfold(t)
-        n += 1
-        if n > limit:
-            raise TypeError_("recursive type does not reach a head constructor")
-    return t
+    raise TypeError_("recursive type does not reach a head constructor")
 
 
-def _spine_tvar_tail(body: SType, var: str) -> bool:
-    """Does var occur along the continuation spine (outside payloads)?"""
-    t = body
-    while True:
-        if isinstance(t, SVar):
-            return t.var == var
-        if isinstance(t, (SOut, SIn)):
-            t = t.cont
-            continue
-        if isinstance(t, (SSel, SBra)):
-            return any(_spine_tvar_tail(s, var) for _, s in t.branches)
-        if isinstance(t, SRec):
-            if t.var == var:
-                return False
-            t = t.body
-            continue
-        return False
+def _tvar_sites(body: SType, var: str) -> tuple[bool, bool]:
+    """Where var occurs free in body: (inside a communicated payload, on
+    the continuation spine)."""
 
+    def rule(t, kids, env) -> tuple[bool, bool]:
+        cls = t.__class__
+        if cls is SVar:
+            return False, t.var == var
+        if cls is SRec and t.var == var:
+            return False, False
+        if cls is SOut or cls is SIn:
+            return kids[-1][0] or any(a or b for a, b in kids[:-1]), kids[-1][1]
+        return any(a for a, _ in kids), any(b for _, b in kids)
 
-def _payload_tvar(body: SType, var: str) -> bool:
-    """Does var occur inside any communicated payload type?"""
-    if isinstance(body, (SOut, SIn)):
-        if any(var in free_tvars(u) for u in body.payload):
-            return True
-        return _payload_tvar(body.cont, var)
-    if isinstance(body, (SSel, SBra)):
-        return any(_payload_tvar(s, var) for _, s in body.branches)
-    if isinstance(body, SRec):
-        return False if body.var == var else _payload_tvar(body.body, var)
-    return False
+    return fold(body, rule)
 
 
 def is_tail_recursive(t: SType) -> bool:
     """rec t.S whose body is a prefix chain ending in its own variable."""
-    if not isinstance(t, SRec):
-        return False
-    if _payload_tvar(t.body, t.var):
+    if not isinstance(t, SRec) or _tvar_sites(t.body, t.var)[0]:
         return False
     body = t.body
     while isinstance(body, (SOut, SIn)):
@@ -303,6 +340,27 @@ def is_tail_recursive(t: SType) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _dual_rule(t, kids, env):
+    cls = t.__class__
+    if cls is SOut or cls is SIn:
+        return (SIn if cls is SOut else SOut)(t.payload, kids[0])
+    if cls is SSel or cls is SBra:
+        return (SBra if cls is SSel else SSel)(tuple(zip([l for l, _ in t.branches], kids)))
+    if cls is SRec:
+        in_payload, on_spine = _tvar_sites(t.body, t.var)
+        if in_payload and on_spine:
+            raise TypeError_(
+                "recursion variable occurs both in a payload and on the "
+                "spine; duality is not defined on this fragment"
+            )
+        # the swapped unfolding is the swapped body with the whole type for
+        # the variable, since payloads are not swapped
+        return subst_tvar(kids[0], t.var, t) if in_payload else SRec(t.var, kids[0])
+    if cls is SEnd or cls is SVar:
+        return t
+    raise TypeError_(f"dual undefined for {t!r}")
+
+
 def dual(t: SType) -> SType:
     """Endpoint-compatible partner type: swaps ! with ? and + with &.
 
@@ -313,28 +371,7 @@ def dual(t: SType) -> SType:
     Variables occurring both in a payload and on the spine are out of
     the supported fragment.
     """
-    if isinstance(t, SEnd) or isinstance(t, SVar):
-        return t
-    if isinstance(t, SOut):
-        return SIn(t.payload, dual(t.cont))
-    if isinstance(t, SIn):
-        return SOut(t.payload, dual(t.cont))
-    if isinstance(t, SSel):
-        return SBra(tuple((l, dual(s)) for l, s in t.branches))
-    if isinstance(t, SBra):
-        return SSel(tuple((l, dual(s)) for l, s in t.branches))
-    if isinstance(t, SRec):
-        in_payload = _payload_tvar(t.body, t.var)
-        on_spine = _spine_tvar_tail(t.body, t.var)
-        if in_payload and on_spine:
-            raise TypeError_(
-                "recursion variable occurs both in a payload and on the "
-                "spine; duality is not defined on this fragment"
-            )
-        if in_payload:
-            return dual(unfold(t))
-        return SRec(t.var, dual(t.body))
-    raise TypeError_(f"dual undefined for {t!r}")
+    return fold(t, _dual_rule, spine=True)
 
 
 # ---------------------------------------------------------------------------
@@ -342,42 +379,30 @@ def dual(t: SType) -> SType:
 # ---------------------------------------------------------------------------
 
 
+def _key_rule(t, kids, env):
+    cls = t.__class__
+    if cls is SOut or cls is SIn:
+        return "!(" if cls is SOut else "?(", _joined(kids[:-1], ","), ")", kids[-1]
+    if cls is SSel or cls is SBra:
+        arms = [(l, ":", k) for (l, _), k in zip(t.branches, kids)]
+        return "+[" if cls is SSel else "&[", _joined(arms, ","), "]"
+    if cls is SVar:
+        depth, levels = env
+        return f"f:{t.var}" if t.var not in levels else f"v{depth - 1 - levels[t.var]}"
+    if cls is SRec:
+        return "u.", kids[0]
+    if cls is TArrow:
+        return "sh(" if t.shared else "ln(", _joined(kids, ","), ")"
+    if cls is TChan:
+        return "c(", kids[0], ")"
+    return "b:" + t.name if cls is TBase else "e"
+
+
 def canon_key(t: AnyType) -> str:
-    """Deterministic key, recursion binders numbered by nesting depth."""
-
-    def go(t: AnyType, env: tuple[str, ...]) -> str:
-        if isinstance(t, SEnd):
-            return "e"
-        if isinstance(t, SVar):
-            if t.var in env:
-                return f"v{len(env) - 1 - env.index(t.var)}"
-            return f"f:{t.var}"
-        if isinstance(t, SOut):
-            ps = ",".join(go(u, env) for u in t.payload)
-            return f"!({ps}){go(t.cont, env)}"
-        if isinstance(t, SIn):
-            ps = ",".join(go(u, env) for u in t.payload)
-            return f"?({ps}){go(t.cont, env)}"
-        if isinstance(t, SSel):
-            bs = ",".join(f"{l}:{go(s, env)}" for l, s in t.branches)
-            return f"+[{bs}]"
-        if isinstance(t, SBra):
-            bs = ",".join(f"{l}:{go(s, env)}" for l, s in t.branches)
-            return f"&[{bs}]"
-        if isinstance(t, SRec):
-            return f"u.{go(t.body, env + (t.var,))}"
-        if isinstance(t, TBase):
-            return f"b:{t.name}"
-        if isinstance(t, TArrow):
-            tag = "sh" if t.shared else "ln"
-            ps = ",".join(go(c, env) for c in t.params)
-            return f"{tag}({ps})"
-        if isinstance(t, TChan):
-            return f"c({go(t.payload, env)})"
-        raise TypeError_(f"unknown type node {t!r}")
-
-    # env is keyed by innermost-last; index from the right
-    return go(t, ())
+    """Deterministic key, recursion binders numbered by nesting depth (the
+    innermost enclosing binder is v0)."""
+    bind = lambda r, env: (env[0] + 1, {**env[1], r.var: env[0]})  # noqa: E731
+    return _flatten(fold(t, _key_rule, bind, (0, {})))
 
 
 def type_alpha_eq(a: AnyType, b: AnyType) -> bool:
@@ -389,90 +414,70 @@ def equal_types(a: AnyType, b: AnyType) -> bool:
     """Equivalence up to unfolding of recursive types (and binder names).
 
     Sound and complete on regular types: the pairs explored are drawn
-    from the finite subterm closures of both sides, memoized by key.
+    from the finite subterm closures of both sides. Only a pair with a
+    recursive side is keyed: it holds if the keys agree, and is unfolded
+    once per pair of keys otherwise. Every other pair splits into its
+    children's pairs, and a shared subterm holds at once.
     """
     seen: set[tuple[str, str]] = set()
-
-    def go(a: AnyType, b: AnyType) -> bool:
-        ka, kb = canon_key(a), canon_key(b)
-        if ka == kb:
-            return True
-        if (ka, kb) in seen:
-            return True
-        seen.add((ka, kb))
-        if isinstance(a, SRec):
-            return go(unfold(a), b)
-        if isinstance(b, SRec):
-            return go(a, unfold(b))
-        if isinstance(a, SOut) and isinstance(b, SOut) or isinstance(
-            a, SIn
-        ) and isinstance(b, SIn):
-            return (
-                len(a.payload) == len(b.payload)
-                and all(go(x, y) for x, y in zip(a.payload, b.payload))
-                and go(a.cont, b.cont)
-            )
-        if (isinstance(a, SSel) and isinstance(b, SSel)) or (
-            isinstance(a, SBra) and isinstance(b, SBra)
-        ):
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        ca, cb = a.__class__, b.__class__
+        if ca is SRec or cb is SRec:
+            key = (canon_key(a), canon_key(b))
+            if key[0] != key[1] and key not in seen:
+                seen.add(key)
+                stack.append((unfold(a), b) if ca is SRec else (a, unfold(b)))
+        elif ca is not cb:
+            return False
+        elif ca is SOut or ca is SIn:
+            if len(a.payload) != len(b.payload):
+                return False
+            stack.append((a.cont, b.cont))
+            stack.extend(zip(a.payload, b.payload))
+        elif ca is SSel or ca is SBra:
             if [l for l, _ in a.branches] != [l for l, _ in b.branches]:
                 return False
-            return all(go(x, y) for (_, x), (_, y) in zip(a.branches, b.branches))
-        if isinstance(a, TArrow) and isinstance(b, TArrow):
-            return (
-                a.shared == b.shared
-                and len(a.params) == len(b.params)
-                and all(go(x, y) for x, y in zip(a.params, b.params))
-            )
-        if isinstance(a, TChan) and isinstance(b, TChan):
-            return go(a.payload, b.payload)
-        return False
-
-    return go(a, b)
+            stack.extend(zip(_arms(a), _arms(b)))
+        elif ca is TArrow:
+            if a.shared != b.shared or len(a.params) != len(b.params):
+                return False
+            stack.extend(zip(a.params, b.params))
+        elif ca is TChan:
+            stack.append((a.payload, b.payload))
+        elif a != b:  # SEnd, SVar, TBase: leaves
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
-# Minimality
+# Minimality and decomposition into minimal types
 # ---------------------------------------------------------------------------
+
+
+def _minimal_rule(t, kids, env) -> bool:
+    if isinstance(t, (SOut, SIn)):
+        return isinstance(t.cont, (SEnd, SVar)) and all(kids)
+    if isinstance(t, SRec):
+        return isinstance(t.body, (SOut, SIn)) and kids[0]
+    return all(kids)
 
 
 def is_minimal(t: AnyType) -> bool:
     """No sequencing anywhere: one prefix before end (or the recursion
     variable), choices over minimal continuations, payloads minimal."""
-    if isinstance(t, (SEnd, SVar, TBase)):
-        return True
-    if isinstance(t, (SOut, SIn)):
-        if not isinstance(t.cont, (SEnd, SVar)):
-            return False
-        return all(is_minimal(u) for u in t.payload)
-    if isinstance(t, (SSel, SBra)):
-        return all(is_minimal(s) for _, s in t.branches)
-    if isinstance(t, SRec):
-        if not isinstance(t.body, (SOut, SIn)):
-            return False
-        return is_minimal(t.body)
-    if isinstance(t, TArrow):
-        return all(is_minimal(c) for c in t.params)
-    if isinstance(t, TChan):
-        return is_minimal(t.payload)
-    raise TypeError_(f"unknown type node {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# Decomposition into minimal types
-# ---------------------------------------------------------------------------
+    return fold(t, _minimal_rule)
 
 
 def gdecomp_val(u: AnyType) -> AnyType:
     """Decompose a value (or channel) type in place: arrows flatten their
     parameter tuples, shared channels decompose their payload."""
-    if isinstance(u, TBase):
-        return u
-    if isinstance(u, TArrow):
-        return TArrow(gdecomp_params(u.params), u.shared)
-    if isinstance(u, TChan):
-        return TChan(gdecomp_val(u.payload))
-    raise TypeError_(f"not a value type: {u!r}")
+    if is_session(u):
+        raise TypeError_(f"not a value type: {u!r}")
+    return gdecomp(u)
 
 
 def gdecomp_params(params: tuple[CType, ...]) -> tuple[CType, ...]:
@@ -480,22 +485,56 @@ def gdecomp_params(params: tuple[CType, ...]) -> tuple[CType, ...]:
     full decomposition, other parameters contribute themselves decomposed."""
     out: list[CType] = []
     for c in params:
+        if isinstance(c, TArrow):
+            raise TypeError_(f"not a channel parameter type: {c!r}")
         if is_session(c):
             out.extend(gdecomp(c))
-        elif isinstance(c, TChan):
-            out.append(TChan(gdecomp_val(c.payload)))
-        elif isinstance(c, TBase):
-            out.append(c)
         else:
-            raise TypeError_(f"not a channel parameter type: {c!r}")
+            out.append(gdecomp(c))
     return tuple(out)
 
 
 def gwidth(c: CType) -> int:
     """How many channels a parameter of this type decomposes into."""
-    if is_session(c):
-        return len(gdecomp(c))
-    return 1
+    return len(gdecomp(c)) if is_session(c) else 1
+
+
+def _gdecomp_rule(t, kids, env):
+    """A value type's decomposition, or, for a session type, its minimal
+    parts kept last first (so that a prefix appends in place) and whether
+    its spine holds a recursion binder that is not tail-recursive."""
+    cls = t.__class__
+    if cls is SOut or cls is SIn:
+        head = cls(tuple(gdecomp_val(u) for u in t.payload), END)
+        if isinstance(t.cont, SEnd):
+            return [head], False
+        kids[0][0].append(head)
+        return kids[0]
+    if cls is SRec:
+        if is_tail_recursive(t):
+            # one single-prefix loop per prefix; the variable closes the list
+            var = SVar(t.var)
+            return [SRec(t.var, h.__class__(h.payload, var)) for h in kids[0][0][1:]], False
+        return [SRec(t.var, g) for g in kids[0][0]], True
+    if cls is TArrow:
+        return TArrow(gdecomp_params(t.params), t.shared)
+    if cls is TChan:
+        return TChan(gdecomp_val(t.payload))
+    if cls is not SSel and cls is not SBra:
+        return ([t], False) if cls is SEnd or cls is SVar else t
+    if cls is SBra:
+        # offering side: each label carries the continuation implementation
+        arms = [SOut((TArrow(tuple(reversed(k)), False),), END) for k, _ in kids]
+    else:
+        # selecting side: receives the implementation for the dual
+        # continuation, whose parts are the duals of the continuation's
+        # unless a binder there is not tail-recursive: dual unfolds such a
+        # binder, in the continuation or in the parts that carry it
+        arms = []
+        for (_, s), (k, odd) in zip(t.branches, kids):
+            parts = gdecomp(dual(s)) if odd else [dual(g) for g in reversed(k)]
+            arms.append(SIn((TArrow(tuple(parts), False),), END))
+    return [cls(tuple(zip([l for l, _ in t.branches], arms)))], any(odd for _, odd in kids)
 
 
 def gdecomp(t: AnyType):
@@ -505,68 +544,26 @@ def gdecomp(t: AnyType):
     sequence flattens into; value and channel types return a single
     decomposed type.
     """
-    if isinstance(t, (TArrow, TBase, TChan)):
-        return gdecomp_val(t)
-    if isinstance(t, SEnd):
-        return [SEnd()]
-    if isinstance(t, SVar):
-        return [t]
-    if isinstance(t, SOut):
-        head = SOut(tuple(gdecomp_val(u) for u in t.payload), SEnd())
-        if isinstance(t.cont, SEnd):
-            return [head]
-        return [head] + gdecomp(t.cont)
-    if isinstance(t, SIn):
-        head = SIn(tuple(gdecomp_val(u) for u in t.payload), SEnd())
-        if isinstance(t.cont, SEnd):
-            return [head]
-        return [head] + gdecomp(t.cont)
-    if isinstance(t, SBra):
-        # offering side: each label carries the continuation implementation
-        out = tuple(
-            (l, SOut((TArrow(tuple(gdecomp(s)), shared=False),), SEnd()))
-            for l, s in t.branches
-        )
-        return [SBra(out)]
-    if isinstance(t, SSel):
-        # selecting side: receives the implementation for the dual continuation
-        out = tuple(
-            (l, SIn((TArrow(tuple(gdecomp(dual(s))), shared=False),), SEnd()))
-            for l, s in t.branches
-        )
-        return [SSel(out)]
-    if isinstance(t, SRec):
-        if is_tail_recursive(t):
-            return _rchain(t.body, t.var)
-        return [SRec(t.var, g) for g in gdecomp(t.body)]
-    raise TypeError_(f"gdecomp undefined for {t!r}")
+    got = fold(t, _gdecomp_rule, spine=True)
+    return got[0][::-1] if got.__class__ is tuple else got
 
 
-def _rchain(body: SType, var: str) -> list[SType]:
-    """One single-prefix recursive type per prefix of a tail-recursive body."""
-    if isinstance(body, SVar):
-        if body.var != var:
-            raise TypeError_(f"foreign recursion variable {body.var}")
-        return []
-    if isinstance(body, SOut):
-        head = SRec(var, SOut(tuple(gdecomp_val(u) for u in body.payload), SVar(var)))
-        return [head] + _rchain(body.cont, var)
-    if isinstance(body, SIn):
-        head = SRec(var, SIn(tuple(gdecomp_val(u) for u in body.payload), SVar(var)))
-        return [head] + _rchain(body.cont, var)
-    raise TypeError_(f"not a tail-recursive prefix chain at {body!r}")
+def _rec_core(t: SType) -> tuple[SRec, int]:
+    """The tail-recursive type behind t's leading prefixes, and their number."""
+    skipped = 0
+    while isinstance(t, (SOut, SIn)):
+        t, skipped = t.cont, skipped + 1
+    if not isinstance(t, SRec):
+        raise TypeError_(f"no recursive core reachable in {t!r}")
+    if not is_tail_recursive(t):
+        raise TypeError_("recursive core is not tail-recursive")
+    return t, skipped
 
 
 def rsdecomp(t: SType) -> list[SType]:
     """Decomposition seen from inside an unfolded recursive protocol:
     leading prefixes are skipped, the recursive core is decomposed."""
-    if isinstance(t, (SOut, SIn)):
-        return rsdecomp(t.cont)
-    if isinstance(t, SRec):
-        if not is_tail_recursive(t):
-            raise TypeError_("recursive core is not tail-recursive")
-        return _rchain(t.body, t.var)
-    raise TypeError_(f"no recursive core reachable in {t!r}")
+    return gdecomp(_rec_core(t)[0])
 
 
 def findex(t: SType) -> int:
@@ -575,19 +572,8 @@ def findex(t: SType) -> int:
     For a recursive type the answer is 1; for a partial unfolding it is
     the position of the current head prefix within the recursion body.
     """
-    if isinstance(t, SRec):
-        return _fprime(unfold(t), 0)
-    return _fprime(t, 0)
-
-
-def _fprime(t: SType, skipped: int) -> int:
-    if isinstance(t, SRec):
-        if not is_tail_recursive(t):
-            raise TypeError_("recursive core is not tail-recursive")
-        return len(_rchain(t.body, t.var)) - skipped + 1
-    if isinstance(t, (SOut, SIn)):
-        return _fprime(t.cont, skipped + 1)
-    raise TypeError_(f"not an unfolded recursive type: {t!r}")
+    core, skipped = _rec_core(unfold(t) if isinstance(t, SRec) else t)
+    return len(gdecomp(core)) - skipped + 1
 
 
 # ---------------------------------------------------------------------------
@@ -667,32 +653,22 @@ def env_step(delta: Mapping) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _format_rule(t, kids, env):
+    cls = t.__class__
+    if cls is SOut or cls is SIn:
+        return "!<" if cls is SOut else "?<", _joined(kids[:-1], ","), ">;", kids[-1]
+    if cls is SSel or cls is SBra:
+        arms = [(l, ": ", k) for (l, _), k in zip(t.branches, kids)]
+        return "+{" if cls is SSel else "&{", _joined(arms, ", "), "}"
+    if cls is SRec:
+        return "rec ", t.var, ".", kids[0]
+    if cls is TArrow:
+        return "un(" if t.shared else "lin(", _joined(kids, ","), ")"
+    if cls is TChan:
+        return "chan ", kids[0]
+    return "end" if cls is SEnd else t.var if cls is SVar else t.name
+
+
 def format_type(t: AnyType) -> str:
     """Render a type in its readable surface syntax."""
-    if isinstance(t, SEnd):
-        return "end"
-    if isinstance(t, SVar):
-        return t.var
-    if isinstance(t, SOut):
-        ps = ",".join(format_type(u) for u in t.payload)
-        return f"!<{ps}>;{format_type(t.cont)}"
-    if isinstance(t, SIn):
-        ps = ",".join(format_type(u) for u in t.payload)
-        return f"?<{ps}>;{format_type(t.cont)}"
-    if isinstance(t, SSel):
-        bs = ", ".join(f"{l}: {format_type(s)}" for l, s in t.branches)
-        return "+{" + bs + "}"
-    if isinstance(t, SBra):
-        bs = ", ".join(f"{l}: {format_type(s)}" for l, s in t.branches)
-        return "&{" + bs + "}"
-    if isinstance(t, SRec):
-        return f"rec {t.var}.{format_type(t.body)}"
-    if isinstance(t, TBase):
-        return t.name
-    if isinstance(t, TArrow):
-        head = "un" if t.shared else "lin"
-        ps = ",".join(format_type(c) for c in t.params)
-        return f"{head}({ps})"
-    if isinstance(t, TChan):
-        return f"chan {format_type(t.payload)}"
-    raise TypeError_(f"unknown type node {t!r}")
+    return _flatten(fold(t, _format_rule))

@@ -68,3 +68,31 @@ def test_top_level_imports_are_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
     assert not unused, f"{module}: unused imports {unused}"
+
+
+# modules whose walks must run on explicit stacks: one Python frame per
+# prefix would overflow on protocols a few thousand prefixes long
+RECURSION_FREE = ("types.py", "typecheck.py")
+
+
+def _self_calls(tree: ast.AST):
+    """'name (line)' for every function, nested ones included, that calls
+    itself by name: `f(...)` inside f, or `self.f(...)` inside a method f."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            on_self = isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self"
+            callee = f.id if isinstance(f, ast.Name) else f.attr if on_self else None
+            if callee == node.name:
+                yield f"{node.name} (line {call.lineno})"
+                break
+
+
+@pytest.mark.parametrize("module", RECURSION_FREE)
+def test_no_function_calls_itself(module):
+    recursive = list(_self_calls(TREES[module]))
+    assert not recursive, f"{module}: functions that call themselves: {recursive}"

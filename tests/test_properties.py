@@ -9,7 +9,19 @@ renames input and abstraction binders to fresh identifiers and may also
 rename restriction binders and permute the parallel components under the
 top-level restrictions. Every state a protocol reaches must be normal and
 well typed. A protocol is alpha-equal to its variant with every binder
-renamed and to its image under the identity substitution.
+renamed and to its image under the identity substitution. Checking a
+protocol twice gives the same verdict.
+
+Session types are generated from the end backwards: Int and Bool
+messages, higher-order payloads over a short generated protocol, binary
+choices of either polarity, and, at the tail, a loop around a recursion
+binder: a tail loop of messages, a loop whose variable rides in a payload,
+or a loop of messages under a choice. Duality is an involution on them (up
+to one unfolding of a payload loop), their decomposition is minimal
+outside loops under a choice, a loop equals its unfolding, and keys ignore
+binder names. A selection arm carries the decomposition of its dual
+continuation, which outside non-tail loops is the duals of the
+continuation's parts.
 """
 
 import pytest
@@ -35,7 +47,25 @@ from minsess.terms import (
     substitute,
 )
 from minsess.typecheck import check_process
-from minsess.types import INT, SBra, SEnd, SIn, SOut, SSel, TArrow
+from minsess.types import (
+    BOOL,
+    INT,
+    SBra,
+    SEnd,
+    SIn,
+    SOut,
+    SRec,
+    SSel,
+    SVar,
+    TArrow,
+    canon_key,
+    dual,
+    equal_types,
+    gdecomp,
+    is_minimal,
+    is_tail_recursive,
+    unfold,
+)
 
 END = SEnd()
 LIN_INT = TArrow((INT,), shared=False)
@@ -241,3 +271,120 @@ def test_reached_states_are_normal_and_well_typed(p):
 def test_alpha_variants_and_identity_substitution_are_alpha_equal(p, fresh):
     assert alpha_eq(p, alpha(p, iter(fresh), names=True))
     assert alpha_eq(substitute(p, Subst()), p)
+
+
+@SETTINGS
+@given(protocols)
+def test_check_process_is_deterministic(p):
+    first, second = check_process(None, p), check_process(None, p)
+    assert first.ok == second.ok
+    assert first.first_error() == second.first_error()
+    assert len(first.types_seen) == len(second.types_seen)
+
+
+
+def _payloads(depth: int):
+    base = st.sampled_from((INT, BOOL))
+    if depth == 0:
+        return base
+    inner = session_types(depth - 1, loop=st.none()).map(lambda pair: pair[0])
+    return st.one_of(base, st.builds(TArrow, st.tuples(inner), st.booleans()))
+
+
+LOOPS = st.sampled_from(("tail", "payload", "choice"))
+
+
+def _build(prefix, loop, var):
+    t = SEnd()
+    if loop is not None:
+        kind, steps = loop
+        if kind == "payload":
+            # the variable rides in the first payload; the body ends
+            steps = [(steps[0][0], TArrow((SEnd(), SVar(var)), True))] + steps[1:]
+        body = SEnd() if kind == "payload" else SVar(var)
+        for step, u in reversed(steps):
+            body = (SOut if step in ("out", "sel") else SIn)((u,), body)
+        if kind == "choice":
+            body = SSel((("again", body), ("done", SEnd())))
+        t = SRec(var, body)
+    for step, u in reversed(prefix):
+        if step in ("out", "in"):
+            t = (SOut if step == "out" else SIn)((u,), t)
+        else:
+            arms = (("go", t), ("stop", SEnd()))
+            t = SSel(arms) if step == "sel" else SBra(arms)
+    return t
+
+
+@st.composite
+def session_types(draw, depth: int = 1, loop=st.none() | LOOPS):
+    """(t, u): a session type, and the same type with its recursion
+    binder, if it has one, named u instead of t. A loop is a tail loop of
+    messages, a loop whose variable rides in a payload, or a loop of
+    messages under a choice."""
+    steps = st.tuples(st.sampled_from(("out", "in", "sel", "bra")), _payloads(depth))
+    prefix = draw(st.lists(steps, max_size=4))
+    kind = draw(loop)
+    body = (kind, draw(st.lists(steps, min_size=1, max_size=3))) if kind else None
+    return _build(prefix, body, "t"), _build(prefix, body, "u")
+
+
+def _recursive_tail(t):
+    while not isinstance(t, (SRec, SEnd)):
+        t = t.cont if isinstance(t, (SOut, SIn)) else t.branches[0][1]
+    return t
+
+
+def _loop_kind(t):
+    tail = _recursive_tail(t)
+    if not isinstance(tail, SRec):
+        return None
+    if isinstance(tail.body, SSel):
+        return "choice"
+    return "tail" if is_tail_recursive(tail) else "payload"
+
+
+@SETTINGS
+@given(session_types())
+def test_dual_is_an_involution(pair):
+    t, _ = pair
+    if _loop_kind(t) == "payload":
+        # dual unfolds a loop whose variable rides in a payload
+        assert equal_types(dual(dual(t)), t)
+    else:
+        assert dual(dual(t)) == t
+
+
+@SETTINGS
+@given(session_types(loop=st.sampled_from((None, "tail", "payload"))))
+def test_decomposition_is_minimal(pair):
+    # recursion decomposes one prefix at a time, so a loop under a choice
+    # stays a loop over a choice, which is not minimal
+    assert all(is_minimal(g) for g in gdecomp(pair[0]))
+
+
+@SETTINGS
+@given(session_types(loop=LOOPS))
+def test_loops_equal_their_unfolding(pair):
+    loop = _recursive_tail(pair[0])
+    assert equal_types(loop, unfold(loop))
+    assert equal_types(unfold(loop), loop)
+
+
+@SETTINGS
+@given(session_types(loop=LOOPS))
+def test_keys_ignore_binder_names(pair):
+    t, u = pair
+    assert canon_key(t) == canon_key(u)
+    assert equal_types(t, u)
+
+
+@SETTINGS
+@given(session_types())
+def test_decomposition_commutes_with_duality(pair):
+    t, _ = pair
+    (_, carried), = gdecomp(SSel((("l", t),)))[0].branches
+    assert carried == SIn((TArrow(tuple(gdecomp(dual(t))), False),), SEnd())
+    if _loop_kind(t) in (None, "tail"):
+        # what lets a selection arm take the dual of its continuation's parts
+        assert gdecomp(dual(t)) == [dual(g) for g in gdecomp(t)]

@@ -197,8 +197,8 @@ class TestKeyComposition:
             ),
         )
         assert canonical_key(p) == (
-            "nu n1.((n1<l{x}.k}{1.None.session!(lin(v2){0}).0"
-            "|n1~>{l{x}:app(fv:f{.None)(lit:int:1,k}{1.None.session~);}r:0}))"
+            "nu n1.((n1<$4:l{x}.$4:k}{1.None.session!(lin(v2){0}).0"
+            "|n1~>{$4:l{x}:app(fv:$2:f{.None)(lit:int:1,$4:k}{1.None.session~);$2:}r:0}))"
         )
 
     def test_numbers_cross_a_digit_boundary(self):

@@ -8,6 +8,7 @@ from minsess.terms import (
     Input,
     Lit,
     Name,
+    NameSupply,
     Output,
     Par,
     Res,
@@ -28,6 +29,9 @@ from minsess.terms import (
     prop_name,
     rec_server_name,
     substitute,
+    Tail,
+    template,
+    trampoline,
     used_bases,
 )
 from minsess.types import BOOL, INT, SEnd, SIn, SOut, SRec, SVar, TArrow
@@ -322,3 +326,86 @@ def test_branch_labels_unique():
 def test_select_roundtrip_fields():
     p = Select(Name("u", 1), "go", Inact())
     assert p.label == "go"
+
+
+def test_name_supply_scans_once_primes_in_order_and_resumes():
+    scans = []
+
+    def scan():
+        scans.append(1)
+        return {"z", "z'", "x"}
+
+    supply = NameSupply(scan)
+    assert scans == []
+    assert [supply.fresh("z") for _ in range(3)] == ["z''", "z" + "'" * 3, "z" + "'" * 4]
+    # a primed hint names the same family and resumes where it stopped
+    assert supply.fresh("z'") == "z" + "'" * 5
+    assert supply.fresh("y") == "y"
+    assert supply.fresh("y") == "y'"
+    assert supply.fresh("") == "x'"
+    assert scans == [1]
+
+
+def test_labels_with_template_punctuation_keep_terms_apart():
+    s = Name("s")
+    one = Branch(s, (("x:0;y", Inact()),))
+    two = Branch(s, (("x", Inact()), ("y", Inact())))
+    assert template(one, ()) != template(two, ())
+    assert not alpha_eq(one, two)
+    assert not alpha_eq(Select(s, "a.b", Inact()), Select(s, "a", Select(s, "b", Inact())))
+
+
+def test_name_bases_with_template_punctuation_keep_terms_apart():
+    f = Var("f")
+    glued = App(f, (Name("a.None.session,b"),))
+    apart = App(f, (Name("a"), Name("b")))
+    assert template(glued, ()) != template(apart, ())
+    assert not alpha_eq(glued, apart)
+
+
+def test_identifier_bases_and_labels_render_verbatim():
+    s, k = Name("s'"), Name("#", 2)
+    p = Select(s, "go_1", Output(k, (Var("x'"),), Inact()))
+    assert template(p, ()) == ("s'.None.session<go_1.#.2.session!(fv:x'.None).0", 0)
+
+
+def test_encode_namepass_clauses_share_their_binders():
+    # as in the clauses, every package binds z and x and every receiving
+    # side y and s, each drawn fresh for the term once
+    n = 2000
+    s = Name("s")
+    a, b, name_types = Inact(), Inact(), {}
+    for i in reversed(range(n)):
+        x = Var(f"x{i}")
+        name_types[x] = INT
+        a, b = Output(s, (Lit(i),), a), Input(s.dualized(), (x,), b)
+    source = Res(s, END, Par(a, b))
+    assert used_bases(encode_namepass(source, name_types)) - used_bases(source) == {
+        "z", "x", "y", "s'"
+    }
+
+
+def test_encode_namepass_shares_packages_of_equal_literals():
+    s = Name("s")
+    first = encode_namepass(Output(s, (Lit(1),), Output(s, (Lit(1),), Output(s, (Lit(True),), Inact()))))
+    second, third = first.cont, first.cont.cont
+    assert second.payload is first.payload
+    assert third.payload != first.payload  # True is a Bool, not the Int 1
+
+
+def test_trampoline_tails_release_their_step():
+    # count down 100,000 steps: each ends in a tail whose `then` adds one,
+    # and every fifth also yields a sub-step first
+    def down(n):
+        if n % 5 == 0 and n:
+            assert (yield down(0)) == 0
+        if n == 0:
+            return 0
+        return Tail(down(n - 1), lambda a, b, got: got + a + b, 1, 0)
+
+    def nested():
+        return Tail(Tail(down(3), lambda got: got * 10))
+        yield
+
+    assert trampoline(down(100_000)) == 100_000
+    assert trampoline(nested()) == 30

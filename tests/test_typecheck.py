@@ -397,6 +397,15 @@ class TestMinimalSweep:
         res = check_minimal_typed(p, TypeEnvs(delta={s: eq}))
         bad(res, "minimal")
 
+    def test_first_non_minimal_type_is_reported_where_seen(self):
+        s = sname("s")
+        pair = SIn((INT,), SIn((INT,), END))
+        reader = Input(s, (Var("a"),), Input(s, (Var("b"),), Inact()))
+        writer = Output(s.dualized(), (Lit(1),), Output(s.dualized(), (Lit(2),), Inact()))
+        res = check_minimal_typed(Res(s, pair, Par(reader, writer)))
+        assert res.first_error() == "[minimal] at annot: non-minimal type ?<Int>;?<Int>;end"
+        assert len(res.types_seen) == 5
+
     def test_minimal_chain(self):
         c = sname("#", 1)
         unit = Abs(((Var("x"), END),), Inact(), shared=True)
@@ -409,3 +418,67 @@ class TestMinimalSweep:
             ),
         )
         ok(check_minimal_typed(p))
+
+
+LONG = 3000
+
+
+def message_session(n, wrong_at=None):
+    """(νs)(A | B): A sends n Int literals and B receives them; the
+    literal at index wrong_at is a Bool."""
+    s = sname("s")
+    t, a, b = END, Inact(), Inact()
+    for i in reversed(range(n)):
+        t = SOut((INT,), t)
+        a = Output(s, (Lit(True if i == wrong_at else i),), a)
+        b = Input(s.dualized(), (Var(f"x{i}"),), b)
+    return Res(s, t, Par(a, b))
+
+
+class TestLongProtocols:
+    def test_message_session(self):
+        res = ok(check_process(None, message_session(LONG)))
+        assert len(res.types_seen) == 1 + 2 * LONG
+
+    def test_message_session_error_path(self):
+        res = bad(check_process(None, message_session(LONG, wrong_at=LONG - 1)), "Val")
+        path = res.diagnostics[0].path
+        assert path == ("body", "left") + ("cont",) * (LONG - 1) + ("payload", 0)
+        assert str(res.diagnostics[0]).startswith("[Val] at body/left/cont/cont/")
+
+    def test_tail_recursive_session(self):
+        # rec t.!<lin(Int)>;?<Int>;t driven LONG prefixes, then handed on
+        loop = SRec("t", SOut((U_SINK,), SIn((INT,), SVar("t"))))
+        s, y = sname("s"), Var("y")
+        p = App(y, (s,))
+        for i in reversed(range(LONG)):
+            p = Output(s, (BOOL_SINK,), p) if i % 2 == 0 else Input(s, (Var(f"x{i}"),), p)
+        envs = TypeEnvs(lam={y: TArrow((loop,), shared=False)}, delta={s: loop})
+        ok(check_process(envs, p))
+        bad(check_process(envs, Input(s, (Var("x"),), p)), "Rcv")
+
+    def test_encoded_delegation(self):
+        # every other interaction delegates a fresh channel of type ?<Int>;end
+        # whose other end the sender drives; the rest send Int literals
+        n = 2000
+        c = SIn((INT,), END)
+        s = sname("s")
+        t, a, b, name_types, chans = END, Inact(), Inact(), {}, []
+        for i in reversed(range(n)):
+            x = Var(f"x{i}")
+            if i % 2:
+                m, z = sname(f"m{i}"), Var(f"z{i}")
+                chans.append((m, c))
+                name_types.update({m: c, x: c, z: INT})
+                t = SOut((c,), t)
+                a = Output(s, (m,), Par(Output(m.dualized(), (Lit(i),), Inact()), a))
+                b = Input(s.dualized(), (x,), Par(Input(x, (z,), Inact()), b))
+            else:
+                name_types[x] = INT
+                t = SOut((INT,), t)
+                a = Output(s, (Lit(i),), a)
+                b = Input(s.dualized(), (x,), b)
+        p = Res(s, t, Par(a, b))
+        for m, annot in chans:
+            p = Res(m, annot, p)
+        ok(check_process(None, encode_namepass(p, name_types)))

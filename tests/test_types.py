@@ -25,12 +25,13 @@ from minsess.types import (
     gdecomp_params,
     gwidth,
     is_minimal,
+    free_tvars,
     is_tail_recursive,
     rsdecomp,
     type_alpha_eq,
     unfold,
 )
-from minsess.terms import Name
+from minsess.terms import Name, encode_nptype
 
 END = SEnd()
 
@@ -180,6 +181,29 @@ def test_gdecomp_select_receives_dual_continuations():
     assert carried == SIn((TArrow(tuple(gdecomp(dual(inner))), shared=False),), END)
 
 
+@pytest.mark.parametrize("cont", [
+    # a payload-recursive loop two prefixes long: dual unfolds it
+    SRec("t", SIn((TArrow((END, SVar("t")), shared=True),), SIn((INT,), END))),
+    # a loop around a choice: its parts carry the variable in a payload
+    SRec("t", SSel((("a", SOut((INT,), SVar("t"))), ("b", END)))),
+], ids=["payload-loop", "choice-loop"])
+def test_gdecomp_select_over_nontail_recursion(cont):
+    # the arm carries the decomposition of the dual continuation, which
+    # here is not the duals of the continuation's parts
+    got = gdecomp(SSel((("l", cont),)))
+    (label, carried), = got[0].branches
+    parts = gdecomp(dual(cont))
+    assert carried == SIn((TArrow(tuple(parts), shared=False),), END)
+    assert [canon_key(g) for g in parts] != [canon_key(dual(g)) for g in gdecomp(cont)]
+
+
+def test_gdecomp_select_over_payload_loop_prints():
+    cont = SRec("t", SIn((TArrow((END, SVar("t")), shared=True),), SIn((INT,), END)))
+    assert format_type(gdecomp(SSel((("l", cont),)))[0]) == (
+        "+{l: ?<lin(!<un(end,rec t.?<un(end,t)>;end,rec t.?<Int>;end)>;end,!<Int>;end)>;end}"
+    )
+
+
 def test_gdecomp_nontail_recursion_wraps_pointwise():
     payload_rec = SRec("t", SIn((TArrow((END, SVar("t")), shared=True),), END))
     got = gdecomp(payload_rec)
@@ -270,3 +294,70 @@ def test_format_type_surface():
 def test_contractivity_enforced():
     with pytest.raises(TypeError_):
         SRec("t", SVar("t"))
+
+
+LONG = 3000
+HO = TArrow((SOut((BOOL,), END),), shared=False)
+
+
+def long_protocol(var=None):
+    """LONG prefixes cycling through an Int output, a higher-order input,
+    a binary selection whose other arm ends, and a Bool input, and the
+    dual built alongside; with var, messages only, closed by var."""
+    t = d = END if var is None else SVar(var)
+    for i in reversed(range(LONG)):
+        kind = i % 4 if var is None else i % 2 * 3
+        if kind == 0:
+            t, d = SOut((INT,), t), SIn((INT,), d)
+        elif kind == 1:
+            t, d = SIn((HO,), t), SOut((HO,), d)
+        elif kind == 2:
+            t, d = SSel((("go", t), ("stop", END))), SBra((("go", d), ("stop", END)))
+        else:
+            t, d = SIn((BOOL,), t), SOut((BOOL,), d)
+    return t, d
+
+
+def test_type_queries_walk_long_protocols():
+    t, d = long_protocol()
+    again, _ = long_protocol()
+    assert canon_key(dual(t)) == canon_key(d)
+    assert canon_key(dual(d)) == canon_key(t)
+    assert canon_key(t) == canon_key(again) and t is not again
+    assert equal_types(t, again) and not equal_types(t, d)
+    assert free_tvars(t) == set()
+    assert not is_minimal(t)
+    assert format_type(t).count("+{") == LONG // 4
+    # a selection ends the list of parts: the rest rides in its arm, as the
+    # decomposition of the dual continuation, one nesting level per choice
+    first, second, sel = gdecomp(t)
+    assert all(is_minimal(g) for g in (first, second, sel))
+    assert format_type(sel).count("&{") == LONG // 4 - 1
+
+
+def test_encode_nptype_walks_long_protocols():
+    def pkg(c):
+        return TArrow((SIn((TArrow((c,), False),), END),), False)
+
+    delegated = SIn((INT,), END)
+    t = want = END
+    for i in reversed(range(LONG)):
+        if i % 2:
+            t, want = SOut((INT,), t), SOut((pkg(INT),), want)
+        else:
+            t, want = SIn((delegated,), t), SIn((pkg(encode_nptype(delegated)),), want)
+    assert canon_key(encode_nptype(t)) == canon_key(want)
+    assert canon_key(encode_nptype(dual(t))) == canon_key(dual(want))
+
+
+def test_tail_recursive_long_protocol():
+    body, dbody = long_protocol(var="t")
+    loop = SRec("t", body)
+    assert is_tail_recursive(loop)
+    assert free_tvars(body) == {"t"} and free_tvars(loop) == set()
+    assert canon_key(dual(loop)) == canon_key(SRec("t", dbody))
+    assert equal_types(loop, unfold(loop))
+    assert equal_types(SRec("u", long_protocol(var="u")[0]), loop)
+    parts = gdecomp(loop)
+    assert len(parts) == LONG and all(is_minimal(g) for g in parts)
+    assert findex(loop) == 1 and findex(unfold(loop).cont) == 2
