@@ -9,25 +9,33 @@ abstraction. Restriction annotations advance along with the channel they
 govern, so every intermediate state carries a well-formed session
 environment for its restricted names.
 
-A state is held as a `_Soup`: the hoisted binders plus one `_Comp` per
-component. A `_Comp` finds its free names once, when it is made, and
-renders itself at most once for each set of its free names that are
-hoisted, as one `terms.template`: a `str.format` template with a field
-for each such name and for each binder inside it. That template gives the
-component's sort key (hoisted names as n0), its literal tie-breaker (the
-template for the empty set) and its part of the state key:
-`canonical_key` fills the templates with the state's binder numbers and
-joins them, walking no term. The largest reserved index is found only
-when needed. `normalize`, `enabled`, `apply_redex` and `canonical_key`
-take a term or a soup; on a term they build its soup first and answer
-with a term, on a soup they answer with a soup. `run` and `explore` step
-through them on soups, so a step is one `apply_redex` and one
-`normalize`, which flattens and renders only the components the redex
-produces and reuses every other `_Comp`: no step walks the whole state,
-and the identifiers in use and the reserved indices of the state are
-gathered only when a hoisted binder collides.
-The cached data lives in the soups of one `run` or `explore` call and
-nowhere else.
+A state is held as a `_Soup`: the hoisted binders with their annotations,
+one `_Comp` per component in sort order, and how many components each free
+name occurs in. `normalize`, `enabled`, `apply_redex` and `canonical_key`
+take a term or a soup; on a term they build its soup first and answer with
+a term, on a soup they answer with a soup. `run` and `explore` step on
+soups, and a step costs what its redex consumes and makes:
+
+- Free names come from the call's memo (`terms.Memo`), which scans each
+  subterm once, and `terms.substitute` returns a subterm in which nothing
+  it replaces is free as it is, so a comm rebuilds only the paths to the
+  received variable.
+- A component's sort key is a lazy `terms.Rendering` of it, hoisted names
+  as n0; components whose keys tie are ordered by the rendering with every
+  name literal. Two renderings are compared by rendering both only up to
+  their first difference (small components are rendered whole), and
+  `canonical_key` finishes the same renderings.
+- `_normalize` merges the new components into the kept ones, which are in
+  order and whose hoisted names cannot change, as a stable sort would; a
+  binder dies when its count of components does; the binder order is
+  computed only for a term or a key.
+- `run` picks each redex from an index of senders, receivers and betas that
+  each step updates, and materializes a step's term only when it is read.
+
+The identifiers in use and the reserved indices of the state are gathered
+only when a hoisted binder collides. Every cache lives in the soups of one
+`run` or `explore` call, or of one call of another entry point, and nowhere
+else.
 
 The deterministic policy orders enabled redexes:
   1. reserved bookkeeping channels ("#..."), highest index first,
@@ -38,8 +46,9 @@ The deterministic policy orders enabled redexes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from bisect import insort_right
+from dataclasses import dataclass, field
+from typing import Optional
 
 from . import terms as tm
 from .terms import (
@@ -48,10 +57,12 @@ from .terms import (
     Branch,
     Inact,
     Input,
+    Memo,
     Name,
     NameSupply,
     Output,
     Par,
+    Rendering,
     Res,
     Select,
     Subst,
@@ -59,7 +70,6 @@ from .terms import (
     iter_subterms,
     parallel,
     substitute,
-    template,
     used_bases,
 )
 from .types import SBra, SIn, SOut, SRec, SSel, unfold_top
@@ -87,52 +97,49 @@ def _top_reserved(ts) -> int:
     )
 
 
-_NONE: frozenset = frozenset()
-
-
 class _Comp:
     """One top-level component of a soup and what is known about it.
 
-    Its rendering is a `terms.template` with one field for each of its free
-    names that is hoisted, made at most once for each such set of names
-    and cached with its sort key. Filling the fields with the binders'
-    numbers in the state gives the component's part of the state key; the
-    template for the empty set gives the literal tie-breaker."""
+    `names` are the positive endpoints of its free names, in first-
+    occurrence order, from the call's memo; `slots` are those that are
+    hoisted binders. A component is only made by `_normalize`, and the
+    binders among its free names never change while it is kept: a new
+    binder that collides with one of its names is renamed. So its sort key
+    is fixed: `key`, the lazy `terms.Rendering` over its slots, ordered
+    first, and on a tie the rendering over no slots, the literal
+    tie-breaker, made only for such ties."""
 
-    __slots__ = ("term", "names", "positives", "_templates", "_literal", "_reserved")
+    __slots__ = ("term", "names", "slots", "_memo", "_key", "_literal", "_reserved")
 
-    def __init__(self, term) -> None:
+    def __init__(self, term, memo: Memo) -> None:
         self.term = term
-        # positive endpoints of the free names, in first-occurrence order
-        self.names = tuple(dict.fromkeys(_positive(n) for n in free_names(term)))
-        self.positives = frozenset(self.names)
-        self._templates: dict = {}
-        self._literal: Optional[str] = None
+        self.names = tuple(dict.fromkeys(_positive(n) for n in free_names(term, memo)))
+        self.slots: tuple = ()
+        self._memo = memo
+        self._key: Optional[Rendering] = None
+        self._literal: Optional[Rendering] = None
         self._reserved: Optional[int] = None
 
-    def template(self, hoisted: frozenset) -> tuple:
-        """(fmt, slots, nbinders, abstract key) for the component's free
-        names in hoisted: the `terms.template` over slots, those names in
-        some fixed order, and the sort key, which renders every slot as n0
-        and numbers the binders from 1."""
-        mine = self.positives & hoisted
-        entry = self._templates.get(mine)
-        if entry is None:
-            slots = tuple(mine)
-            fmt, nb = template(self.term, slots)
-            abstract = fmt.format(*(0,) * len(slots), *range(1, nb + 1))
-            entry = self._templates[mine] = (fmt, slots, nb, abstract)
-        return entry
+    def key(self) -> Rendering:
+        if self._key is None:
+            self._key = Rendering(self.term, self.slots, self._memo)
+        return self._key
+
+    def literal(self) -> Rendering:
+        if self._literal is None:
+            self._literal = self.key() if not self.slots else Rendering(self.term, (), self._memo)
+        return self._literal
+
+    def release(self) -> None:
+        """Drop the renderings, remade on demand: a component `run` has
+        consumed is kept only for its term."""
+        self._key = self._literal = None
 
     def __lt__(self, other: "_Comp") -> bool:
-        """Components whose abstract renderings tie are ordered by their
-        literal renderings (the sort key for the empty set), made only for
-        such ties."""
-        if self._literal is None:
-            self._literal = self.template(_NONE)[3]
-        if other._literal is None:
-            other._literal = other.template(_NONE)[3]
-        return self._literal < other._literal
+        less = self.key().less(other.key())
+        if less is None:
+            less = self.literal().less(other.literal())
+        return bool(less)
 
     def reserved(self) -> int:
         if self._reserved is None:
@@ -140,91 +147,163 @@ class _Comp:
         return self._reserved
 
 
-class _Soup(NamedTuple):
-    """A state: binders (Name, annotation) and components, followed by the
-    terms `raw` not yet flattened in. A normalized soup has no raw terms,
-    its binders in first-use order and its components in sort-key order."""
+class _Soup:
+    """A state: `binders` maps each hoisted binder to its annotation,
+    `comps` holds the components in sort-key order, and `counts` says in
+    how many components each positive free name occurs, so a binder dies
+    when its count does. The binders' order, first use in `comps`, is
+    computed only when `term` or `canonical_key` asks for it, and the term
+    is materialized only when asked for. `memo` is the call's `terms.Memo`.
 
-    binders: tuple
-    comps: tuple
-    raw: tuple = ()
+    A soup that still has `raw` terms to flatten in comes from `_fire` or
+    `_as_soup`; it owns its containers, and `_normalize` completes them in
+    place, checking the names in `dying` (counts that fell to zero) for
+    dead binders. A normal soup is not changed, except that `run`, which
+    keeps one soup per step for its term, drops the counts of a soup it
+    has stepped from: `fresh` lists the components its normalization made."""
+
+    __slots__ = ("binders", "comps", "counts", "memo", "raw", "dying", "fresh", "_order", "_term")
+
+    def __init__(self, binders: dict, comps: list, counts: Optional[dict], memo: Memo,
+                 raw: tuple = (), dying: tuple = (), fresh: list = ()) -> None:
+        self.binders, self.comps, self.counts, self.memo = binders, comps, counts, memo
+        self.raw, self.dying, self.fresh = raw, dying, fresh
+        self._order: Optional[tuple] = None
+        self._term = None
+
+    def order(self) -> tuple:
+        """The binders in order of first use by the sorted components."""
+        if self._order is None:
+            seen: dict = {}
+            for c in self.comps:
+                for n in c.slots:
+                    seen[n] = None
+            self._order = tuple(seen)
+        return self._order
 
     def term(self):
-        body = parallel(c.term for c in self.comps)
-        for b, annot in reversed(self.binders):
-            body = Res(b, annot, body)
-        return body
+        if self._term is None:
+            body = parallel(c.term for c in self.comps)
+            for b in reversed(self.order()):
+                body = Res(b, self.binders[b], body)
+            self._term = body
+        return self._term
 
 
 def _normalize(soup: _Soup) -> _Soup:
     """The normalized soup: the raw terms are flattened in after the
-    components, which are already normal and in order.
+    components, which are already normal and in order, and each new
+    component is merged in after every component that does not sort after
+    it, as a stable sort would place it.
 
-    A raw restriction whose binder collides with a claimed binder or a
-    free name is renamed throughout its scope (both polarities): reserved
-    bookkeeping names move to an index above every reserved name of the
-    state, others take a primed base. Dead binders are then dropped."""
-    binders = list(soup.binders)
-    kept, raw = soup.comps, soup.raw
-    comps = list(kept)
-    taken: Optional[set] = None
-    next_reserved: Optional[int] = None
-    supply = NameSupply(
-        lambda: {n.base for n, _ in binders}.union(
-            *(used_bases(c.term) for c in kept), *(used_bases(t) for t in raw)
-        )
-    )
-
-    def claim(b: Name) -> Optional[Name]:
-        nonlocal taken, next_reserved
-        if taken is None:
-            taken = {n for n, _ in binders}
-            for c in kept:
-                taken |= c.positives
-            for t in raw:
-                taken.update(map(_positive, free_names(t)))
-        if b not in taken:
-            return None
-        if b.base != tm.RESERVED_PREFIX:
-            return Name(supply.fresh(b.base), b.index, False, b.kind)
-        if next_reserved is None:
-            top = _top_reserved([*(n for n, _ in binders), *raw])
-            next_reserved = 1 + max([top, *(c.reserved() for c in kept)])
-        next_reserved += 1
-        return Name(tm.RESERVED_PREFIX, next_reserved - 1, False, "session")
-
+    A raw restriction whose binder collides with a binder, a free name of
+    the state or a free name of the raw terms is renamed throughout its
+    scope (both polarities): reserved bookkeeping names move to an index
+    above every reserved name of the state, others take a primed base.
+    Dead binders are then dropped. The identifiers in use and the reserved
+    indices of the state are gathered only when a binder collides."""
+    raw = soup.raw
+    if not raw:
+        return soup
+    memo = soup.memo
+    binders, kept, counts = soup.binders, soup.comps, soup.counts
+    claims: Optional[_Claims] = None
+    new: list = []
+    claimed: list = []
     stack = list(reversed(raw))
     while stack:
         t = stack.pop()
-        if isinstance(t, Inact):
+        cls = t.__class__
+        if cls is Inact:
             continue
-        if isinstance(t, Par):
+        if cls is Par:
             stack += (t.right, t.left)
-        elif isinstance(t, Res):
+        elif cls is Res:
             b, body = t.binder, t.body
-            fresh = claim(b)
+            if claims is None:
+                claims = _Claims(soup)
+            fresh = claims.fresh(b)
             if fresh is not None:
-                body = substitute(body, Subst.rename_channel(b, fresh))
+                body = substitute(body, Subst.rename_channel(b, fresh), memo)
                 b = fresh
-            taken.add(b)
-            binders.append((b, t.annot))
+            binders[b] = t.annot
+            claimed.append(b)
             stack.append(body)
         else:
-            comps.append(_Comp(t))
+            new.append(_Comp(t, memo))
 
-    used: set[Name] = set()
-    for c in comps:
-        used |= c.positives
-    binders = [(b, a) for b, a in binders if b in used]
-    hoisted = frozenset(b for b, _ in binders)
-    comps.sort(key=lambda c: (c.template(hoisted)[3], c))
-    order: dict[Name, int] = {}
-    for c in comps:
+    for c in new:
         for n in c.names:
-            if n in hoisted and n not in order:
-                order[n] = len(order)
-    binders.sort(key=lambda ba: order[ba[0]])
-    return _Soup(tuple(binders), tuple(comps))
+            counts[n] = counts.get(n, 0) + 1
+    for b in (*soup.dying, *claimed):
+        if b not in counts and b in binders:
+            del binders[b]
+    stats = memo.stats
+    for c in new:
+        c.slots = tuple(n for n in c.names if n in binders)
+        insort_right(kept, c)
+    stats["normalizations"] += 1
+    stats["components_built"] += len(new)
+    return _Soup(binders, kept, counts, memo, fresh=new)
+
+
+class _Claims:
+    """Fresh binders for the raw restrictions of one normalization that
+    collide with a binder, a free name of the state or a free name of the
+    raw terms; made at the first raw restriction. The identifiers in use
+    and the reserved indices of the state are gathered only when a binder
+    collides."""
+
+    def __init__(self, soup: _Soup) -> None:
+        binders, kept, raw = soup.binders, soup.comps, soup.raw
+        self.soup = soup
+        self.raw_free = _spine_free(raw, soup.memo)
+        self.next_reserved: Optional[int] = None
+        self.supply = NameSupply(
+            lambda: {n.base for n in binders}.union(
+                *(used_bases(c.term) for c in kept), *(used_bases(t) for t in raw)
+            )
+        )
+
+    def fresh(self, b: Name) -> Optional[Name]:
+        """b's new name if it collides, else None."""
+        soup = self.soup
+        if b not in soup.binders and b not in soup.counts and b not in self.raw_free:
+            return None
+        if b.base != tm.RESERVED_PREFIX:
+            return Name(self.supply.fresh(b.base), b.index, False, b.kind)
+        if self.next_reserved is None:
+            top = _top_reserved([*soup.binders, *soup.raw])
+            self.next_reserved = 1 + max([top, *(c.reserved() for c in soup.comps)])
+        self.next_reserved += 1
+        return Name(tm.RESERVED_PREFIX, self.next_reserved - 1, False, "session")
+
+
+def _spine_free(raw: tuple, memo: Memo) -> set:
+    """Positive free names of the raw terms. Their parallel and
+    restriction spine is walked with a count of the binders in scope, and
+    only what hangs off it is scanned, so a long spine is not summarized
+    once per node."""
+    out: set = set()
+    bound: dict = {}
+    stack = list(raw)
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is Par:
+            stack += (t.right, t.left)
+        elif cls is Res:
+            b = t.binder
+            bound[b] = bound.get(b, 0) + 1
+            stack += ((b,), t.body)
+        elif cls is tuple:  # the scope of a binder ends
+            b = t[0]
+            bound[b] -= 1
+            if not bound[b]:
+                del bound[b]
+        else:
+            out.update(p for p in map(_positive, free_names(t, memo)) if p not in bound)
+    return out
 
 
 def normalize(p):
@@ -232,26 +311,28 @@ def normalize(p):
     `_Soup` gives a `_Soup` that reuses the components it already has."""
     if isinstance(p, _Soup):
         return _normalize(p)
-    return _normalize(_Soup((), (), (p,))).term()
+    return _as_soup(p).term()
 
 
 def _as_soup(p) -> _Soup:
-    return p if isinstance(p, _Soup) else normalize(_Soup((), (), (p,)))
+    return p if isinstance(p, _Soup) else normalize(_Soup({}, [], {}, Memo(), (p,)))
 
 
 def canonical_key(p) -> str:
     """The rendering of the normalized state: its binders numbered 1..k
     in order, then each component's template filled with the numbers of
     its hoisted names and the next free numbers for its own binders, the
-    components joined right-nested."""
+    components joined right-nested. It finishes the renderings the sort
+    began, so no component is rendered twice."""
     soup = _as_soup(p)
-    number = {b: k for k, (b, _) in enumerate(soup.binders, 1)}
-    hoisted = frozenset(number)
+    number = {b: k for k, b in enumerate(soup.order(), 1)}
     offset = len(number)
     parts = []
     for c in soup.comps:
-        fmt, slots, nb, _ = c.template(hoisted)
-        parts.append(fmt.format(*[number[n] for n in slots], *range(offset + 1, offset + nb + 1)))
+        key = c.key()
+        fmt = key.fmt()
+        nb = key.binders
+        parts.append(fmt.format(*[number[n] for n in c.slots], *range(offset + 1, offset + nb + 1)))
         offset += nb
     if not parts:
         return "0"
@@ -350,31 +431,117 @@ def apply_redex(p, r: Redex):
 
 
 def _fire(soup: _Soup, r: Redex) -> _Soup:
-    """The soup after firing r, with the produced terms still raw."""
-    comps = soup.comps
-    kept = [c for k, c in enumerate(comps) if k not in (r.i, r.j)]
-    binders = soup.binders
+    """The soup after firing r, with the produced terms still raw: the
+    consumed components are sliced out and their names' counts lowered."""
+    comps, memo = soup.comps, soup.memo
+    binders = dict(soup.binders)
     if r.kind == "beta":
-        a: App = comps[r.i].term
+        gone = (comps[r.i],)
+        kept = comps[:r.i] + comps[r.i + 1:]
+        a: App = gone[0].term
         f: Abs = a.fun
         if len(f.params) != len(a.args):
             raise SemanticsError("application arity mismatch")
         sub = Subst.of_vars({x: v for (x, _), v in zip(f.params, a.args)})
-        return _Soup(binders, tuple(kept), (substitute(f.body, sub),))
-    out_c = comps[r.i].term
-    in_c = comps[r.j].term
-    if r.kind == "comm":
-        sub = Subst.of_vars(dict(zip(in_c.binders, out_c.payload)))
-        new = [out_c.cont, substitute(in_c.cont, sub)]
+        new: tuple = (substitute(f.body, sub, memo),)
     else:
-        new = [out_c.cont, in_c.branch(r.label)]
-    if out_c.subject.kind == "session":
-        pos = _positive(out_c.subject)
-        binders = tuple(
-            (b, _advance(a, b, out_c.subject, r.label) if b == pos else a)
-            for b, a in binders
-        )
-    return _Soup(binders, tuple(kept), tuple(new))
+        lo, hi = sorted((r.i, r.j))
+        gone = (comps[r.i], comps[r.j])
+        kept = comps[:lo] + comps[lo + 1:hi] + comps[hi + 1:]
+        out_c, in_c = gone[0].term, gone[1].term
+        if r.kind == "comm":
+            sub = Subst.of_vars(dict(zip(in_c.binders, out_c.payload)))
+            new = (out_c.cont, substitute(in_c.cont, sub, memo))
+        else:
+            new = (out_c.cont, in_c.branch(r.label))
+        if out_c.subject.kind == "session":
+            pos = gone[0].names[0]  # the positive endpoint of the subject
+            if pos in binders:
+                binders[pos] = _advance(binders[pos], pos, out_c.subject, r.label)
+    counts = dict(soup.counts)
+    dying = []
+    for c in gone:
+        for n in c.names:
+            k = counts[n] - 1
+            if k:
+                counts[n] = k
+            else:
+                del counts[n]
+                dying.append(n)
+    return _Soup(binders, kept, counts, memo, new, tuple(dying))
+
+
+class _Redexes:
+    """The components of `run`'s current state that can take part in a
+    redex, updated with the components each step consumes and makes:
+    senders and receivers by the positive endpoint of their subject (the
+    first of their names), betas, and the subjects with a matching pair.
+    `first` gives the redex `min(enabled(soup), key=_det_rank)` would,
+    looking up positions only for the ready pairs and the betas."""
+
+    def __init__(self, comps: list) -> None:
+        self.senders: dict = {}
+        self.receivers: dict = {}
+        self.betas: list = []
+        self.ready: set = set()
+        self.update((), comps)
+
+    def update(self, gone, made) -> None:
+        touched = set()
+        for cs, add in ((gone, False), (made, True)):
+            for c in cs:
+                t = c.term
+                cls = t.__class__
+                if cls is App and isinstance(t.fun, Abs):
+                    group = self.betas
+                elif cls in (Output, Select, Input, Branch) and t.subject.__class__ is Name:
+                    n = c.names[0]
+                    by_subject = self.senders if cls is Output or cls is Select else self.receivers
+                    group = by_subject.setdefault(n, [])
+                    touched.add(n)
+                else:
+                    continue
+                if add:
+                    group.append(c)
+                else:
+                    group.remove(c)
+        for n in touched:
+            if next(self._pairs(n), None) is None:
+                self.ready.discard(n)
+            else:
+                self.ready.add(n)
+
+    def _pairs(self, n: Name):
+        """(sender, receiver) pairs that synchronize on the positive n: a
+        session endpoint meets the other one, a shared name itself."""
+        receivers = self.receivers.get(n)
+        if not receivers:
+            return
+        for c in self.senders.get(n, ()):
+            out = c.term
+            for d in receivers:
+                t = d.term
+                if n.kind == "session" and t.subject.dual == out.subject.dual:
+                    continue
+                if out.__class__ is Output:
+                    if t.__class__ is Input and len(out.payload) == len(t.binders):
+                        yield c, d
+                elif t.__class__ is Branch and any(l == out.label for l, _ in t.branches):
+                    yield c, d
+
+    def first(self, comps: list) -> Optional[Redex]:
+        """The policy's pick among the leftmost beta and the ready pairs."""
+        candidates = []
+        for n in self.ready:
+            for c, d in self._pairs(n):
+                i, j, out = comps.index(c), comps.index(d), c.term
+                if out.__class__ is Output:
+                    candidates.append(Redex("comm", i, j, n))
+                else:
+                    candidates.append(Redex("select", i, j, n, out.label))
+        if self.betas:
+            candidates.append(Redex("beta", min(comps.index(c) for c in self.betas)))
+        return min(candidates, key=_det_rank, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +551,18 @@ def _fire(soup: _Soup, r: Redex) -> _Soup:
 
 @dataclass
 class Step:
+    """One step of a run. `term`, the state it reached, is materialized
+    from the step's soup when first read and then kept."""
+
     index: int
     kind: str
     subject: Optional[str]
     label: Optional[str]
-    term: object
+    _soup: _Soup = field(repr=False, compare=False)
+
+    @property
+    def term(self):
+        return self._soup.term()
 
 
 @dataclass
@@ -397,6 +571,7 @@ class Trace:
     steps: list
     final: object
     status: str  # "inert" | "stuck" | "fuel"
+    stats: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -412,27 +587,32 @@ def _terminal_status(soup: _Soup) -> str:
 def run(p, fuel: int = 200) -> Trace:
     """Execute to quiescence or fuel exhaustion, firing at each step the
     enabled redex that comes first in the documented priority order
-    (explore() covers all interleavings instead)."""
+    (explore() covers all interleavings instead). A step costs what its
+    redex consumes and makes: the redex comes from an index of the state's
+    senders, receivers and betas, and no state is materialized until a
+    step's `term` is read. `stats` counts normalizations, components built
+    and rendered in full, and term nodes scanned, substituted and
+    rendered."""
     soup = _as_soup(p)
-    state = initial = soup.term()
+    initial = soup.term()
+    redexes = _Redexes(soup.comps)
     steps: list[Step] = []
+    status = "fuel"
     while len(steps) < fuel:
-        rs = enabled(soup)
-        if not rs:
-            return Trace(initial, steps, state, _terminal_status(soup))
-        r = min(rs, key=_det_rank)
-        soup = apply_redex(soup, r)
-        state = soup.term()
-        steps.append(
-            Step(
-                len(steps) + 1,
-                r.kind,
-                str(r.subject) if r.subject is not None else None,
-                r.label,
-                state,
-            )
-        )
-    return Trace(initial, steps, state, "fuel")
+        r = redexes.first(soup.comps)
+        if r is None:
+            status = _terminal_status(soup)
+            break
+        gone = [soup.comps[r.i]] if r.j is None else [soup.comps[r.i], soup.comps[r.j]]
+        last, soup = soup, apply_redex(soup, r)
+        redexes.update(gone, soup.fresh)
+        # what is left of the last state only materializes its term
+        last.counts = None
+        for c in gone:
+            c.release()
+        subject = str(r.subject) if r.subject is not None else None
+        steps.append(Step(len(steps) + 1, r.kind, subject, r.label, soup))
+    return Trace(initial, steps, soup.term(), status, dict(soup.memo.stats))
 
 
 @dataclass
@@ -442,11 +622,13 @@ class Exploration:
     terminals: dict  # key -> "inert" | "stuck"
     truncated: bool
     edges: int = 0
+    stats: dict = field(default_factory=dict)
 
 
 def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     """Breadth-first closure of the reachable state space up to `fuel`
-    reduction steps, memoized on the canonical erased form."""
+    reduction steps, memoized on the canonical erased form. `stats` counts
+    what `run`'s does, and `dedup_hits`: edges to a state already seen."""
     s0 = _as_soup(p)
     k0 = canonical_key(s0)
     states = {k0: s0.term()}
@@ -454,7 +636,7 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     terminals: dict = {}
     truncated = False
     frontier = [(k0, s0)]
-    edges = 0
+    edges = hits = 0
     while frontier:
         nxt: list = []
         for k, s in frontier:
@@ -470,12 +652,15 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
                 t = apply_redex(s, r)
                 edges += 1
                 tk = canonical_key(t)
-                if tk not in states:
-                    if len(states) >= max_states:
-                        truncated = True
-                        continue
-                    states[tk] = t.term()
-                    depth[tk] = d + 1
-                    nxt.append((tk, t))
+                if tk in states:
+                    hits += 1
+                    continue
+                if len(states) >= max_states:
+                    truncated = True
+                    continue
+                states[tk] = t.term()
+                depth[tk] = d + 1
+                nxt.append((tk, t))
         frontier = nxt
-    return Exploration(states, depth, terminals, truncated, edges)
+    stats = dict(s0.memo.stats, dedup_hits=hits)
+    return Exploration(states, depth, terminals, truncated, edges, stats)

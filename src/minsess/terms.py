@@ -21,7 +21,8 @@ recursive-channel tuples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Union
 
 from .types import (
@@ -62,6 +63,8 @@ class Name:
     index: Optional[int] = None
     dual: bool = False
     kind: str = "session"  # "session" | "shared"
+    # the hash of the fields, computed on first use: names key most maps
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("session", "shared"):
@@ -70,6 +73,13 @@ class Name:
             raise TermError("shared names are self-dual; no dual polarity")
         if self.index is not None and self.index < 1:
             raise TermError("name indices start at 1")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if not h:
+            h = hash((self.base, self.index, self.dual, self.kind))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def dualized(self) -> "Name":
         if self.kind == "shared":
@@ -88,6 +98,14 @@ class Name:
 class Var:
     base: str
     index: Optional[int] = None
+    _hash: int = field(default=0, init=False, repr=False, compare=False)  # as for Name
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if not h:
+            h = hash((self.base, self.index))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def with_index(self, index: Optional[int]) -> "Var":
         return Var(self.base, index)
@@ -268,74 +286,132 @@ def parallel(parts: Iterable[Process]) -> Process:
 # ---------------------------------------------------------------------------
 
 
-def _free(term) -> tuple[dict, dict]:
-    """The free names and the free variables of term, each a dict (values
-    unused) in first-occurrence preorder.
+class Memo:
+    """What one call learns about the subterms it meets, for its lifetime.
 
-    The walk loops along continuations, right parallel branches, last
-    branch arms and restriction and abstraction bodies, and recurses only
-    into subjects, payloads, arguments, left parallel branches and earlier
-    arms, so a long session costs no stack depth."""
-    names: dict = {}
-    vs: dict = {}
+    `free` maps the id of a compound subterm to its free names, its free
+    variables (tuples in first-occurrence preorder), its number of nodes
+    and the subterm itself, which keeps the id from being reused. Each subterm is scanned once;
+    a term that shares subterms with one already scanned costs only its
+    new nodes. `stats` counts the nodes scanned, substituted and rendered,
+    and what the semantics layer adds. A `run` or `explore` call owns one
+    Memo; every other entry point makes its own, so nothing outlives a
+    call."""
 
-    def go(t, bn: frozenset, bv: frozenset) -> None:
-        while True:
-            cls = t.__class__
-            if cls is Name:
-                if t not in bn:
-                    names[t] = None
-                return
-            if cls is Var:
-                if t not in bv:
-                    vs[t] = None
-                return
-            if cls is Output:
-                go(t.subject, bn, bv)
-                for v in t.payload:
-                    go(v, bn, bv)
-                t = t.cont
-            elif cls is Input:
-                go(t.subject, bn, bv)
-                bv = bv.union(t.binders)
-                t = t.cont
-            elif cls is Select:
-                go(t.subject, bn, bv)
-                t = t.cont
-            elif cls is Par:
-                go(t.left, bn, bv)
-                t = t.right
-            elif cls is Res:
-                bn = bn.union((t.binder, t.binder.dualized()))
-                t = t.body
-            elif cls is Branch:
-                go(t.subject, bn, bv)
-                for _, p in t.branches[:-1]:
-                    go(p, bn, bv)
-                t = t.branches[-1][1]
-            elif cls is App:
-                go(t.fun, bn, bv)
-                for a in t.args:
-                    go(a, bn, bv)
-                return
-            elif cls is Abs:
-                bv = bv.union(v for v, _ in t.params)
-                t = t.body
-            elif cls is Inact or cls is Lit:
-                return
+    __slots__ = ("free", "stats")
+
+    def __init__(self) -> None:
+        self.free: dict = {}
+        self.stats: Counter = Counter()
+
+
+_LEAVES = (Name, Var, Lit, Inact)
+_NO_FREE = ((), (), 1)
+
+
+def _scope(t) -> tuple:
+    """(children in preorder, names and variables the last child binds)."""
+    cls = t.__class__
+    if cls is Output:
+        return (t.subject, *t.payload, t.cont), (), ()
+    if cls is Input:
+        return (t.subject, t.cont), (), t.binders
+    if cls is Select:
+        return (t.subject, t.cont), (), ()
+    if cls is Branch:
+        return (t.subject, *(p for _, p in t.branches)), (), ()
+    if cls is App:
+        return (t.fun, *t.args), (), ()
+    if cls is Par:
+        return (t.left, t.right), (), ()
+    if cls is Res:
+        return (t.body,), (t.binder, t.binder.dualized()), ()
+    if cls is Abs:
+        return (t.body,), (), tuple(v for v, _ in t.params)
+    raise TermError(f"unknown term node {t!r}")
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    """The order-preserving union of a and b; one of them if it is the
+    union."""
+    if not b or a is b:
+        return a
+    if not a:
+        return b
+    if len(a) == 1 and (b[0] is a[0] or b[0] == a[0]):
+        return b
+    merged = tuple(dict.fromkeys(a + b))
+    if len(merged) == len(a):
+        return a
+    return b if merged == b else merged
+
+
+def _minus(items: tuple, bound: tuple) -> tuple:
+    if not items or not bound:
+        return items
+    bound = set(bound)
+    kept = tuple(x for x in items if x not in bound)
+    return items if len(kept) == len(items) else kept
+
+
+def _fv(t, memo: Memo) -> tuple:
+    """(free names, free variables, number of nodes) of t, from the memo
+    or scanned into it bottom-up on an explicit stack."""
+    cls = t.__class__
+    if cls is Name:
+        return (t,), (), 1
+    if cls is Var:
+        return (), (t,), 1
+    if cls is Lit or cls is Inact:
+        return _NO_FREE
+    free = memo.free
+    got = free.get(id(t))
+    if got is not None:
+        return got
+    stack: list = [t]
+    scanned = 0
+    while stack:
+        x = stack[-1]
+        if id(x) in free:
+            stack.pop()
+            continue
+        kids, bound_names, bound_vars = _scope(x)
+        pending = [k for k in kids if k.__class__ not in _LEAVES and id(k) not in free]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        names = vs = ()
+        nodes = 1 + len(kids)
+        last = len(kids) - 1
+        for i, k in enumerate(kids):
+            kc = k.__class__
+            if kc is Name:
+                kn, kv = (k,), ()
+            elif kc is Var:
+                kn, kv = (), (k,)
+            elif kc is Lit or kc is Inact:
+                continue
             else:
-                raise TermError(f"unknown term node {t!r}")
+                kn, kv, size, _ = free[id(k)]
+                nodes += size - 1
+            if i == last:
+                kn = _minus(kn, bound_names)
+                kv = _minus(kv, bound_vars)
+            names = _join(names, kn)
+            vs = _join(vs, kv)
+        free[id(x)] = (names, vs, nodes, x)
+        scanned += 1
+    memo.stats["nodes_scanned"] += scanned
+    return free[id(t)]
 
-    go(term, frozenset(), frozenset())
-    return names, vs
+
+def free_names(term: Union[Process, Value], memo: Optional[Memo] = None) -> list[Name]:
+    return list(_fv(term, memo or Memo())[0])
 
 
-def free_names(term: Union[Process, Value]) -> list[Name]:
-    return list(_free(term)[0])
-
-
-def free_vars(term: Union[Process, Value]) -> list[Var]:
-    return list(_free(term)[1])
+def free_vars(term: Union[Process, Value], memo: Optional[Memo] = None) -> list[Var]:
+    return list(_fv(term, memo or Memo())[1])
 
 
 def used_bases(term: Union[Process, Value]) -> set[str]:
@@ -432,8 +508,13 @@ def init_subst(term: Union[Process, Value]) -> Subst:
     return Subst.of_names({n: n.with_index(1) for n in fns})
 
 
-def substitute(term, sigma: Subst):
-    """Apply sigma to a process or value, renaming binders on capture."""
+def substitute(term, sigma: Subst, memo: Optional[Memo] = None):
+    """Apply sigma to a process or value, renaming binders on capture.
+
+    A subterm in which nothing sigma replaces is free comes back as it is,
+    so the cost is that of the paths to the replaced occurrences; free
+    sets come from memo (a fresh one if none is given). The walk runs on
+    the `trampoline`, so long continuations cost no stack depth."""
     vmap = sigma.vars()
     nmap = sigma.names()
 
@@ -444,65 +525,89 @@ def substitute(term, sigma: Subst):
         used.update(n.base for n in nmap.values())
         return used
 
-    return _sub(term, vmap, nmap, NameSupply(scan))
+    memo = memo or Memo()
+    if term.__class__ not in _LEAVES and not _reaches(term, vmap, nmap, memo):
+        return term
+    return trampoline(_sub(term, vmap, nmap, NameSupply(scan), memo))
 
 
-def _sub(t, vmap: dict, nmap: dict, supply: NameSupply):
-    if isinstance(t, Name):
+def _reaches(t, vmap: dict, nmap: dict, memo: Memo) -> bool:
+    """Whether a variable of vmap or a name of nmap is free in t."""
+    names, vs = _fv(t, memo)[:2]
+    return any(x in vs for x in vmap) or any(n in names for n in nmap)
+
+
+def _leaf(t, vmap: dict, nmap: dict):
+    cls = t.__class__
+    if cls is Name:
         return nmap.get(t, t)
-    if isinstance(t, Var):
+    if cls is Var:
         return vmap.get(t, t)
-    if isinstance(t, Lit) or isinstance(t, Inact):
+    return t
+
+
+def _sub(t, vmap: dict, nmap: dict, supply: NameSupply, memo: Memo):
+    """A trampoline step: t with the substitution applied."""
+    cls = t.__class__
+    if cls in _LEAVES:
+        return _leaf(t, vmap, nmap)
+    if not _reaches(t, vmap, nmap, memo):
         return t
-    if isinstance(t, Output):
-        return Output(
-            _sub_subject(t.subject, vmap, nmap),
-            tuple(_sub_payload(v, vmap, nmap, supply) for v in t.payload),
-            _sub(t.cont, vmap, nmap, supply),
-        )
-    if isinstance(t, Input):
-        binders, vmap2, ren = _scope_vars(t.binders, vmap, supply)
-        cont = t.cont if not ren else _sub(t.cont, ren, {}, supply)
-        return Input(
-            _sub_subject(t.subject, vmap, nmap),
-            binders,
-            _sub(cont, vmap2, nmap, supply),
-        )
-    if isinstance(t, Select):
-        return Select(
-            _sub_subject(t.subject, vmap, nmap),
-            t.label,
-            _sub(t.cont, vmap, nmap, supply),
-        )
-    if isinstance(t, Branch):
-        return Branch(
-            _sub_subject(t.subject, vmap, nmap),
-            tuple((l, _sub(p, vmap, nmap, supply)) for l, p in t.branches),
-        )
-    if isinstance(t, App):
-        fun = _sub(t.fun, vmap, nmap, supply)
+    memo.stats["nodes_substituted"] += 1
+    if cls is Output:
+        payload = []
+        for v in t.payload:
+            got = (yield _sub(v, vmap, nmap, supply, memo)) if v.__class__ is Abs else _leaf(v, vmap, nmap)
+            if got.__class__ is Name and v.__class__ is Var:
+                # only the first-order front end carries name payloads; a
+                # variable standing for a value must not become a name here
+                raise TermError("substitution put a name in payload position")
+            payload.append(got)
+        subject = _sub_subject(t.subject, vmap, nmap)
+        return Tail(_sub(t.cont, vmap, nmap, supply, memo), Output, subject, tuple(payload))
+    if cls is Input:
+        binders, vmap2, ren = _scope_vars(t.binders, vmap, supply, memo)
+        cont = t.cont if not ren else (yield _sub(t.cont, ren, {}, supply, memo))
+        subject = _sub_subject(t.subject, vmap, nmap)
+        return Tail(_sub(cont, vmap2, nmap, supply, memo), Input, subject, binders)
+    if cls is Select:
+        subject = _sub_subject(t.subject, vmap, nmap)
+        return Tail(_sub(t.cont, vmap, nmap, supply, memo), Select, subject, t.label)
+    if cls is Branch:
+        subject = _sub_subject(t.subject, vmap, nmap)
+        arms = []
+        for l, p in t.branches:
+            arms.append((l, (yield _sub(p, vmap, nmap, supply, memo))))
+        return Branch(subject, tuple(arms))
+    if cls is App:
+        fun = (yield _sub(t.fun, vmap, nmap, supply, memo)) if t.fun.__class__ is Abs else _leaf(t.fun, vmap, nmap)
         if isinstance(fun, Name):
             raise TermError("substitution put a bare name in function position")
         args = []
         for a in t.args:
-            b = _sub(a, vmap, nmap, supply)
+            b = (yield _sub(a, vmap, nmap, supply, memo)) if a.__class__ is Abs else _leaf(a, vmap, nmap)
             if isinstance(b, Abs):
                 raise TermError("substitution put an abstraction in argument position")
             args.append(b)
         return App(fun, tuple(args))
-    if isinstance(t, Par):
-        return Par(_sub(t.left, vmap, nmap, supply), _sub(t.right, vmap, nmap, supply))
-    if isinstance(t, Res):
-        binder, nmap2, ren = _scope_name(t.binder, vmap, nmap, supply)
-        body = t.body if not ren else _sub(t.body, {}, ren, supply)
-        return Res(binder, t.annot, _sub(body, vmap, nmap2, supply))
-    if isinstance(t, Abs):
+    if cls is Par:
+        left = yield _sub(t.left, vmap, nmap, supply, memo)
+        return Tail(_sub(t.right, vmap, nmap, supply, memo), Par, left)
+    if cls is Res:
+        binder, nmap2, ren = _scope_name(t.binder, vmap, nmap, supply, memo)
+        body = t.body if not ren else (yield _sub(t.body, {}, ren, supply, memo))
+        return Tail(_sub(body, vmap, nmap2, supply, memo), Res, binder, t.annot)
+    if cls is Abs:
         pv = tuple(v for v, _ in t.params)
-        binders, vmap2, ren = _scope_vars(pv, vmap, supply)
-        body = t.body if not ren else _sub(t.body, ren, {}, supply)
+        binders, vmap2, ren = _scope_vars(pv, vmap, supply, memo)
+        body = t.body if not ren else (yield _sub(t.body, ren, {}, supply, memo))
         params = tuple((b, c) for b, (_, c) in zip(binders, t.params))
-        return Abs(params, _sub(body, vmap2, nmap, supply), t.shared)
+        return Tail(_sub(body, vmap2, nmap, supply, memo), _abs, params, t.shared)
     raise TermError(f"unknown term node {t!r}")
+
+
+def _abs(params: tuple, shared: bool, body) -> Abs:
+    return Abs(params, body, shared)
 
 
 def _sub_subject(s: Subject, vmap: dict, nmap: dict) -> Subject:
@@ -514,22 +619,12 @@ def _sub_subject(s: Subject, vmap: dict, nmap: dict) -> Subject:
     return got
 
 
-def _sub_payload(v, vmap, nmap, supply):
-    got = _sub(v, vmap, nmap, supply)
-    if isinstance(got, Name):
-        # only the first-order front end carries name payloads; a variable
-        # standing for a value must not become a name here
-        if isinstance(v, Var):
-            raise TermError("substitution put a name in payload position")
-    return got
-
-
-def _scope_vars(binders, vmap, supply):
+def _scope_vars(binders, vmap, supply, memo: Memo):
     """Drop shadowed entries; rename binders that would capture."""
     vmap = {k: v for k, v in vmap.items() if k not in binders}
     danger: set[Var] = set()
     for v in vmap.values():
-        danger.update(_free(v)[1])
+        danger.update(_fv(v, memo)[1])
     renames: dict[Var, Var] = {}
     fresh_binders = []
     for b in binders:
@@ -542,12 +637,12 @@ def _scope_vars(binders, vmap, supply):
     return tuple(fresh_binders), vmap, (renames or None)
 
 
-def _scope_name(binder: Name, vmap, nmap, supply):
+def _scope_name(binder: Name, vmap, nmap, supply, memo: Memo):
     both = {binder, binder.dualized()}
     nmap = {k: v for k, v in nmap.items() if k not in both}
     danger: set[Name] = set(nmap.values())
     for v in vmap.values():
-        danger.update(_free(v)[0])
+        danger.update(_fv(v, memo)[0])
     if both & danger:
         nb = Name(supply.fresh(binder.base), binder.index, False, binder.kind)
         ren = {binder: nb}
@@ -566,113 +661,254 @@ _PLAIN = re.compile(r"[\w'#]*")
 
 
 def _text(text: str) -> str:
-    """text as it stands in a template: identifiers, primed or reserved ones
-    too, verbatim, and anything else as `$<length>:` and the text escaped,
-    so that no two texts render alike."""
+    """text as it stands in a rendering: identifiers, primed or reserved
+    ones too, verbatim, and anything else as `$<length>:` and the text, so
+    that no two texts render alike."""
     if text.isidentifier() or _PLAIN.fullmatch(text):
         return text
-    return f"${len(text)}:" + _escape(text)
+    return f"${len(text)}:{text}"
 
 
-def _escape(text: str) -> str:
-    """text with its braces doubled, to stand literally in a template."""
-    return text.replace("{", "{{").replace("}", "}}")
+def _tokens(t, slots: tuple, out: list, stats: Counter, quota: int = 1):
+    """Render t into out on an explicit stack, in steps of quota, twice
+    that, and so on, nodes, so a rendering stopped early has done at most
+    twice the work needed and a completed one took few steps; returns the
+    number of fields used.
+
+    A token is text or a field number. Field k < len(slots) stands for the
+    free name slots[k] (a positive endpoint, either polarity); binders take
+    the next fields in order of registration, names after the text n and
+    variables after v. Everything else prints literally, labels and free
+    bases through `_text`. Names are looked up by base, index and kind,
+    which both endpoints share, and variables by base and index: plain
+    tuples hash faster than the term classes. A tuple on the stack undoes
+    a binding once its scope is rendered."""
+    nenv = {(n.base, n.index, n.kind): k for k, n in enumerate(slots)}
+    venv: dict = {}
+    fields = len(slots)
+    emit = out.append
+    stack = [t]
+    push, pop = stack.append, stack.pop
+    rendered = 0
+    while stack:
+        x = pop()
+        cls = x.__class__
+        if cls is str or cls is int:
+            emit(x)
+            continue
+        if cls is tuple:
+            env, key, prev = x
+            if prev is None:
+                del env[key]
+            else:
+                env[key] = prev
+            continue
+        rendered += 1
+        if cls is Output:
+            _leaf_tokens(x.subject, nenv, venv, emit)
+            emit("!(")
+            push(x.cont)
+            _push_list(stack, x.payload, ").")
+        elif cls is Input or cls is Abs:
+            if cls is Input:
+                _leaf_tokens(x.subject, nenv, venv, emit)
+                emit("?(")
+                bound, close, body = x.binders, ").", x.cont
+            else:
+                emit("un(" if x.shared else "lin(")
+                bound, close, body = [v for v, _ in x.params], "){", x.body
+            for k, v in enumerate(bound):
+                key = (v.base, v.index)
+                push((venv, key, venv.get(key)))
+                venv[key] = fields
+                if k:
+                    emit(",")
+                emit("v")
+                emit(fields)
+                fields += 1
+            emit(close)
+            if cls is Abs:
+                push("}")
+            push(body)
+        elif cls is Select:
+            _leaf_tokens(x.subject, nenv, venv, emit)
+            emit(f"<{_text(x.label)}.")
+            push(x.cont)
+        elif cls is Branch:
+            _leaf_tokens(x.subject, nenv, venv, emit)
+            emit(">{")
+            push("}")
+            for k in range(len(x.branches) - 1, -1, -1):
+                label, p = x.branches[k]
+                push(p)
+                push(f";{_text(label)}:" if k else f"{_text(label)}:")
+        elif cls is App:
+            emit("app(")
+            _push_list(stack, x.args, ")")
+            push(")(")
+            push(x.fun)
+        elif cls is Par:
+            emit("(")
+            push(")")
+            push(x.right)
+            push("|")
+            push(x.left)
+        elif cls is Res:
+            b = x.binder
+            key = (b.base, b.index, b.kind)
+            push((nenv, key, nenv.get(key)))
+            nenv[key] = fields
+            emit("nu n")
+            emit(fields)
+            emit(".(")
+            fields += 1
+            push(")")
+            push(x.body)
+        elif cls is Inact:
+            emit("0")
+        else:
+            _leaf_tokens(x, nenv, venv, emit)
+        if rendered == quota:
+            stats["nodes_rendered"] += rendered
+            rendered = 0
+            quota *= 2
+            yield
+    stats["nodes_rendered"] += rendered
+    return fields
+
+
+def _push_list(stack: list, items: tuple, close: str) -> None:
+    """Push items to be rendered separated by commas, then close."""
+    stack.append(close)
+    for k in range(len(items) - 1, -1, -1):
+        stack.append(items[k])
+        if k:
+            stack.append(",")
+
+
+def _leaf_tokens(x, nenv: dict, venv: dict, emit) -> None:
+    cls = x.__class__
+    if cls is Name:
+        ref = nenv.get((x.base, x.index, x.kind))
+        if ref is None:
+            emit(f"{_text(x.base)}.{x.index}.{x.kind}")
+        else:
+            emit("n")
+            emit(ref)
+        if x.dual:
+            emit("~")
+    elif cls is Var:
+        ref = venv.get((x.base, x.index))
+        if ref is None:
+            emit(f"fv:{_text(x.base)}.{x.index}")
+        else:
+            emit("v")
+            emit(ref)
+    elif cls is Lit:
+        emit(f"lit:{type(x.value).__name__}:{x.value!r}")
+    else:
+        raise TermError(f"unknown term node {x!r}")
+
+
+_WHOLE = 32
+
+
+class Rendering:
+    """The template of a term over some slots (see `_tokens`), rendered
+    lazily and kept: `advance` renders a few more nodes, and `fmt`
+    finishes the rendering first.
+
+    Its text fills slot fields with 0 and numbers binder fields from 1, so
+    it is alpha-invariant and does not depend on the slots' names; `less`
+    orders two renderings by their texts, rendering only up to the first
+    difference. `fmt` is the same template as a `str.format` string.
+    A term that memo knows to have at most `_WHOLE` nodes is rendered at
+    once: comparing whole texts costs less than rendering in steps."""
+
+    __slots__ = ("tokens", "slots", "binders", "stats", "_steps", "_text", "_seen", "_fmt")
+
+    def __init__(self, t, slots: tuple = (), memo: Optional[Memo] = None) -> None:
+        self.tokens: list = []
+        self.slots = slots
+        self.binders = 0  # known once the rendering is complete
+        self.stats = Counter() if memo is None else memo.stats
+        size = _WHOLE + 1 if memo is None else _fv(t, memo)[2]
+        quota = size + 1 if size <= _WHOLE else 1
+        self._steps: Optional[Generator] = _tokens(t, slots, self.tokens, self.stats, quota)
+        self._text = ""  # the text of the first _seen tokens
+        self._seen = 0
+        self._fmt: Optional[str] = None
+        if size <= _WHOLE:
+            self.advance()
+
+    def advance(self) -> bool:
+        """Render a few more nodes; False once the rendering is complete."""
+        if self._steps is None:
+            return False
+        try:
+            next(self._steps)
+            return True
+        except StopIteration as done:
+            self._steps = None
+            self.binders = done.value - len(self.slots)
+            self.stats["full_renderings"] += 1
+            self.prefix()
+            return False
+
+    def prefix(self) -> str:
+        """The text of what is rendered so far."""
+        tokens = self.tokens
+        if self._seen < len(tokens):
+            n = len(self.slots)
+            self._text += "".join([
+                x if x.__class__ is str else "0" if x < n else str(x - n + 1)
+                for x in tokens[self._seen:]
+            ])
+            self._seen = len(tokens)
+        return self._text
+
+    def fmt(self) -> str:
+        if self._fmt is None:
+            while self.advance():
+                pass
+            self._fmt = "".join([
+                x.replace("{", "{{").replace("}", "}}") if x.__class__ is str else f"{{{x}}}"
+                for x in self.tokens
+            ])
+        return self._fmt
+
+    def less(self, other: "Rendering") -> Optional[bool]:
+        """Whether self's text sorts before other's; None if they are equal.
+        While one text so far is a prefix of the other, the shorter one is
+        rendered on."""
+        if self._steps is None and other._steps is None:
+            a, b = self._text, other._text
+            return None if a == b else a < b
+        while True:
+            a, b = self.prefix(), other.prefix()
+            if b.startswith(a):
+                if self._steps is not None:
+                    self.advance()
+                elif len(a) < len(b):
+                    return True
+                elif other._steps is None:
+                    return None
+                else:
+                    other.advance()
+            elif a.startswith(b):
+                if other._steps is None:
+                    return False
+                other.advance()
+            else:
+                return a < b
 
 
 def template(t, slots: tuple) -> tuple[str, int]:
     """Alpha-invariant, type-erased rendering of t as a `str.format`
-    template, and the number of binders it registers.
-
-    Field k < len(slots) stands for the free name slots[k] (a positive
-    endpoint, either polarity); binders take the next fields in order of
-    registration, names as n{...} and variables as v{...}. Everything else
-    prints literally, labels and free bases through `_text`. Names are
-    looked up by base, index and kind, which both endpoints share, and
-    variables by base and index: plain tuples hash faster than the term
-    classes."""
-    nenv = {(n.base, n.index, n.kind): f"n{{{k}}}" for k, n in enumerate(slots)}
-    venv: dict = {}
-    first = field = len(slots)
-
-    def bind(env: dict, x, tag: str):
-        nonlocal field
-        prev = env.get(x)
-        env[x] = f"{tag}{{{field}}}"
-        field += 1
-        return prev
-
-    def unbind(env: dict, x, prev) -> None:
-        if prev is None:
-            del env[x]
-        else:
-            env[x] = prev
-
-    def name(n: Name) -> str:
-        ref = nenv.get((n.base, n.index, n.kind))
-        if ref is None:
-            ref = f"{_text(n.base)}.{n.index}.{n.kind}"
-        return ref + "~" if n.dual else ref
-
-    def val(v) -> str:
-        if isinstance(v, Lit):
-            return f"lit:{type(v.value).__name__}:{v.value!r}"
-        if isinstance(v, Var):
-            ref = venv.get((v.base, v.index))
-            if ref is None:
-                ref = f"fv:{_text(v.base)}.{v.index}"
-            return ref
-        if isinstance(v, Name):
-            return name(v)
-        if isinstance(v, Abs):
-            keys = [(x.base, x.index) for x, _ in v.params]
-            prevs = [bind(venv, x, "v") for x in keys]
-            head = ",".join(venv[x] for x in keys)
-            body = go(v.body)
-            for x, prev in zip(reversed(keys), reversed(prevs)):
-                unbind(venv, x, prev)
-            tag = "un" if v.shared else "lin"
-            return f"{tag}({head}){{{{{body}}}}}"
-        raise TermError(f"unknown term node {v!r}")
-
-    def subj(s) -> str:
-        return name(s) if isinstance(s, Name) else val(s)
-
-    def go(t) -> str:
-        if isinstance(t, Inact):
-            return "0"
-        if isinstance(t, Output):
-            ps = ",".join(val(v) for v in t.payload)
-            return f"{subj(t.subject)}!({ps}).{go(t.cont)}"
-        if isinstance(t, Input):
-            subject = subj(t.subject)
-            keys = [(x.base, x.index) for x in t.binders]
-            prevs = [bind(venv, x, "v") for x in keys]
-            head = ",".join(venv[x] for x in keys)
-            body = go(t.cont)
-            for x, prev in zip(reversed(keys), reversed(prevs)):
-                unbind(venv, x, prev)
-            return f"{subject}?({head}).{body}"
-        if isinstance(t, Select):
-            return f"{subj(t.subject)}<{_text(t.label)}.{go(t.cont)}"
-        if isinstance(t, Branch):
-            arms = [f"{_text(l)}:{go(p)}" for l, p in t.branches]
-            return f"{subj(t.subject)}>{{{{{';'.join(arms)}}}}}"
-        if isinstance(t, App):
-            args = ",".join(val(a) if not isinstance(a, Name) else name(a) for a in t.args)
-            return f"app({val(t.fun)})({args})"
-        if isinstance(t, Par):
-            return f"({go(t.left)}|{go(t.right)})"
-        if isinstance(t, Res):
-            b = t.binder
-            key = (b.base, b.index, b.kind)
-            prev = bind(nenv, key, "n")
-            head = nenv[key]
-            body = go(t.body)
-            unbind(nenv, key, prev)
-            return f"nu {head}.({body})"
-        return val(t)
-
-    return go(t), field - first
+    template over slots (see `_tokens`), and the number of binders it
+    registers."""
+    r = Rendering(t, slots)
+    return r.fmt(), r.binders
 
 
 def alpha_eq(a, b) -> bool:

@@ -27,7 +27,7 @@ continuation's parts.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from minsess.semantics import canonical_key, explore, normalize
+from minsess.semantics import _det_rank, apply_redex, canonical_key, enabled, explore, normalize, run
 from minsess.terms import (
     Abs,
     App,
@@ -44,6 +44,7 @@ from minsess.terms import (
     Var,
     alpha_eq,
     parallel,
+    prop_name,
     substitute,
 )
 from minsess.typecheck import check_process
@@ -281,6 +282,79 @@ def test_check_process_is_deterministic(p):
     assert first.first_error() == second.first_error()
     assert len(first.types_seen) == len(second.types_seen)
 
+
+@st.composite
+def relays(draw):
+    """A source, one to five forwarding stages and a sink, one channel per
+    hop, in a drawn order; the value is an Int or a lin(Int) abstraction
+    the sink applies."""
+    n = draw(st.integers(1, 5))
+    chans = [sname(b) for b in draw(st.permutations(FRESH))[: n + 1]]
+    is_abs = draw(st.booleans())
+    x = Var("x")
+    comps = [
+        Output(chans[0], (sink() if is_abs else Lit(draw(st.integers(0, 2))),), Inact()),
+        Input(chans[n].dualized(), (x,), App(x, (Lit(0),)) if is_abs else Inact()),
+    ]
+    comps += [
+        Input(chans[i - 1].dualized(), (x,), Output(chans[i], (x,), Inact()))
+        for i in range(1, n + 1)
+    ]
+    p = parallel(draw(st.permutations(comps)))
+    for c in reversed(chans):
+        p = Res(c, SOut((LIN_INT if is_abs else INT,), END), p)
+    return p
+
+
+RELEASES = ("none", "same", "other", "dead")
+
+
+@st.composite
+def clashing_sessions(draw):
+    """Int messages from A to B on c, a plain or a reserved name. After
+    each, B may release a restriction: of c itself, hoisted and live or
+    just dead, so it is renamed; of another name, which two releases may
+    share; or of a name it never uses, which is dropped. A released
+    channel carries one abstraction, which is applied."""
+    c = draw(st.sampled_from((sname("c"), prop_name(1), prop_name(2))))
+    other = draw(st.sampled_from((sname("d"), sname("c"), prop_name(1), prop_name(3))))
+    one = SOut((LIN_INT,), END)
+
+    def pair(n):
+        x = Var("x")
+        return Par(Output(n, (sink(),), Inact()), Input(n.dualized(), (x,), App(x, (Lit(1),))))
+
+    releases = draw(st.lists(st.sampled_from(RELEASES), min_size=1, max_size=4))
+    a, b, t = Inact(), Inact(), END
+    for k, release in reversed(list(enumerate(releases))):
+        if release == "same":
+            b = Par(Res(c, one, pair(c)), b)
+        elif release == "other":
+            b = Par(Res(other, one, pair(other)), b)
+        elif release == "dead":
+            b = Par(Res(other, one, Inact()), b)
+        a = Output(c, (Lit(k),), a)
+        b = Input(c.dualized(), (Var("y"),), b)
+        t = SOut((INT,), t)
+    return Res(c, t, Par(a, b))
+
+
+@SETTINGS
+@given(st.one_of(protocols, relays(), clashing_sessions()))
+def test_run_agrees_with_the_term_path(p):
+    """Each state `run` reaches is the normal form of its own materialized
+    term, and firing the policy's redex on that term from scratch gives the
+    next state."""
+    t = run(p, fuel=60)
+    assert t.status == "inert"
+    states = [t.initial] + [s.term for s in t.steps]
+    for step, state, nxt in zip(t.steps, states, states[1:]):
+        assert normalize(state) == state
+        r = min(enabled(state), key=_det_rank)
+        assert (r.kind, r.label) == (step.kind, step.label)
+        assert step.subject == (None if r.subject is None else str(r.subject))
+        assert apply_redex(state, r) == nxt
+    assert normalize(t.final) == t.final and not enabled(t.final)
 
 
 def _payloads(depth: int):

@@ -1,0 +1,145 @@
+"""Long protocols through the public API, and how the cost of `run` grows.
+
+A deep session is one binary session whose interactions cycle through an
+Int message, a lin(Int) abstraction that the receiver applies beside its
+continuation, and a choice, the two sides taking turns; a relay is a
+source, forwarding stages and a sink, one channel per hop. Both are built
+back to front with loops. Long terms are compared by their keys, never
+with `==`, whose dataclass recursion would overflow on them.
+"""
+
+import pytest
+
+from minsess.semantics import canonical_key, explore, normalize, run
+from minsess.terms import (
+    Abs,
+    App,
+    Branch,
+    Inact,
+    Input,
+    Lit,
+    Name,
+    Output,
+    Par,
+    Res,
+    Select,
+    Subst,
+    Var,
+    alpha_eq,
+    free_names,
+    parallel,
+    substitute,
+)
+from minsess.types import INT, SBra, SEnd, SIn, SOut, SSel, TArrow
+
+END = SEnd()
+LIN_INT = TArrow((INT,), shared=False)
+
+
+def sname(base):
+    return Name(base, None, False, "session")
+
+
+def deep(n: int):
+    """(deep session of n interactions, the number of steps it runs)."""
+    s = sname("s")
+    ends = {"A": s, "B": s.dualized()}
+    procs = {"A": Inact(), "B": Inact()}
+    t = END
+    betas = 0
+    for i in range(n - 1, -1, -1):
+        snd, rcv = ("A", "B") if i % 2 == 0 else ("B", "A")
+        if i % 3 == 2:
+            arms = tuple((l, t if l == "go" else END) for l in ("go", "stop"))
+            t = SSel(arms) if snd == "A" else SBra(arms)
+            procs = {
+                snd: Select(ends[snd], "go", procs[snd]),
+                rcv: Branch(ends[rcv], (("go", procs[rcv]), ("stop", Inact()))),
+            }
+            continue
+        x = Var(f"x{i}")
+        rest = procs[rcv]
+        if i % 3 == 1:
+            u, value = LIN_INT, Abs(((Var("b"), INT),), Inact())
+            rest = Par(App(x, (Lit(i),)), rest)
+            betas += 1
+        else:
+            u, value = INT, Lit(i)
+        t = SOut((u,), t) if snd == "A" else SIn((u,), t)
+        procs = {snd: Output(ends[snd], (value,), procs[snd]), rcv: Input(ends[rcv], (x,), rest)}
+    return Res(s, t, Par(procs["A"], procs["B"])), n + betas
+
+
+def relay(n: int):
+    """(relay through n stages, the number of steps it runs)."""
+    chans = [sname(f"c{i}") for i in range(n + 1)]
+    x = Var("x")
+    comps = [Output(chans[0], (Lit(7),), Inact()), Input(chans[n].dualized(), (x,), Inact())]
+    comps += [
+        Input(chans[i - 1].dualized(), (x,), Output(chans[i], (x,), Inact()))
+        for i in range(1, n + 1)
+    ]
+    p = parallel(comps[::2] + comps[1::2])
+    for c in reversed(chans):
+        p = Res(c, SOut((INT,), END), p)
+    return p, n + 1
+
+
+def chain(n: int, binder: str = "x"):
+    """One component of n prefixes on s, inputs and outputs alternating."""
+    s = sname("s")
+    p = Inact()
+    for i in range(n):
+        p = Output(s, (Lit(i),), p) if i % 2 else Input(s.dualized(), (Var(f"{binder}{i}"),), p)
+    return p
+
+
+def test_long_chains_key_normalize_compare_and_substitute():
+    s, r = sname("s"), sname("r")
+    p = chain(1500)
+    q = Res(s, SOut((INT,), END), p)
+    key = canonical_key(q)
+    assert key.startswith("nu n1.(n1!(lit:int:1499).n1~?(v2).n1!(lit:int:1497).")
+    assert canonical_key(normalize(q)) == key
+    assert alpha_eq(p, chain(1500, binder="y"))
+    assert not alpha_eq(p, chain(1499))
+    renamed = substitute(p, Subst.rename_channel(s, r))
+    assert free_names(renamed) == [r, r.dualized()]
+    assert canonical_key(Res(r, SOut((INT,), END), renamed)) == key
+
+
+def test_a_5000_interaction_deep_session_runs_to_inert():
+    p, steps = deep(5000)
+    t = run(p, fuel=2 * steps)
+    assert t.status == "inert"
+    assert len(t.steps) == steps
+    assert isinstance(t.final, Inact)
+
+
+@pytest.mark.parametrize("build", [deep, relay], ids=["deep", "relay"])
+def test_run_work_grows_linearly(build):
+    """Nodes rendered, substituted and scanned for free names, at N = 100
+    and 400: a step that walked the whole state would grow 16 times."""
+
+    def work(n):
+        p, steps = build(n)
+        t = run(p, fuel=steps + 1)
+        assert t.status == "inert" and len(t.steps) == steps
+        return sum(t.stats[k] for k in ("nodes_rendered", "nodes_substituted", "nodes_scanned"))
+
+    small, large = work(100), work(400)
+    assert 0 < large <= 4.5 * small
+
+
+def test_trace_and_exploration_count_their_work():
+    p, steps = deep(12)
+    t = run(p, fuel=steps + 1)
+    assert t.stats["normalizations"] == steps + 1
+    assert t.stats["components_built"] >= steps
+    s, r = sname("s"), sname("r")
+    pair = [Par(Output(c, (Lit(1),), Inact()), Input(c.dualized(), (Var("x"),), Inact())) for c in (s, r)]
+    ex = explore(Res(s, SOut((INT,), END), Res(r, SOut((INT,), END), Par(*pair))))
+    # the two one-step states are alpha-equivalent: one edge finds a known state
+    assert ex.stats["dedup_hits"] == ex.edges - (len(ex.states) - 1) == 1
+    assert ex.stats["normalizations"] == ex.edges + 1
+    assert ex.stats["full_renderings"] >= 1

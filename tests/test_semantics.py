@@ -100,6 +100,19 @@ class TestNormalize:
         assert set(free_names(q)) == {c2, c1.dualized()}
         assert isinstance(q, Res) and q.binder == prop_name(3)
 
+    def test_a_released_binder_never_captures_a_free_name_of_the_state(self):
+        # g is free in a component the step keeps, not a binder: the
+        # restriction the beta releases must still take a fresh name
+        g = sname("g")
+        one = SOut((U_SINK,), END)
+        release = App(Abs(((Var("z"), BOOL),), Res(g, one, Output(g, (SINK,), Inact()))), (Lit(True),))
+        p = Par(Input(g.dualized(), (Var("x"),), Inact()), release)
+        t = run(p, fuel=1)
+        assert t.steps[0].term == Res(sname("g'"), one, Par(
+            Input(g.dualized(), (Var("x"),), Inact()), Output(sname("g'"), (SINK,), Inact())
+        ))
+        assert t.status == "fuel" and not enabled(t.final)
+
     def test_clashing_reserved_binders_take_the_next_free_indices(self):
         c1, c4 = prop_name(1), prop_name(4)
         one = SOut((U_SINK,), END)
