@@ -400,24 +400,14 @@ def _det_rank(r: Redex) -> tuple:
     return (2, (n.base, n.index or 0, n.kind), r.i, r.j)
 
 
-def _advance(annot, binder: Name, out_subject: Name, label: Optional[str]):
-    """Move a restriction annotation along the action just performed on it.
-    The annotation tracks the positive endpoint."""
+def _advance(annot, out_subject: Name, label: Optional[str]):
+    """Move a restriction annotation, which tracks the positive endpoint,
+    along the action a sender on out_subject just performed on it."""
     t = unfold_top(annot) if isinstance(annot, SRec) else annot
-    sender_is_positive = _positive(out_subject) == binder and not out_subject.dual
     if label is None:
-        if sender_is_positive and isinstance(t, SOut):
-            return t.cont
-        if not sender_is_positive and isinstance(t, SIn):
-            return t.cont
-        return annot
-    branches = None
-    if sender_is_positive and isinstance(t, SSel):
-        branches = t.branches
-    if not sender_is_positive and isinstance(t, SBra):
-        branches = t.branches
-    if branches is not None:
-        for l, s in branches:
+        return t.cont if isinstance(t, SIn if out_subject.dual else SOut) else annot
+    if isinstance(t, SBra if out_subject.dual else SSel):
+        for l, s in t.branches:
             if l == label:
                 return s
     return annot
@@ -457,7 +447,7 @@ def _fire(soup: _Soup, r: Redex) -> _Soup:
         if out_c.subject.kind == "session":
             pos = gone[0].names[0]  # the positive endpoint of the subject
             if pos in binders:
-                binders[pos] = _advance(binders[pos], pos, out_c.subject, r.label)
+                binders[pos] = _advance(binders[pos], out_c.subject, r.label)
     counts = dict(soup.counts)
     dying = []
     for c in gone:
@@ -597,12 +587,9 @@ def run(p, fuel: int = 200) -> Trace:
     initial = soup.term()
     redexes = _Redexes(soup.comps)
     steps: list[Step] = []
-    status = "fuel"
-    while len(steps) < fuel:
-        r = redexes.first(soup.comps)
-        if r is None:
-            status = _terminal_status(soup)
-            break
+    # the next redex is looked for first, so a run that ends with its fuel
+    # reports how the last state ends
+    while (r := redexes.first(soup.comps)) is not None and len(steps) < fuel:
         gone = [soup.comps[r.i]] if r.j is None else [soup.comps[r.i], soup.comps[r.j]]
         last, soup = soup, apply_redex(soup, r)
         redexes.update(gone, soup.fresh)
@@ -612,6 +599,7 @@ def run(p, fuel: int = 200) -> Trace:
             c.release()
         subject = str(r.subject) if r.subject is not None else None
         steps.append(Step(len(steps) + 1, r.kind, subject, r.label, soup))
+    status = "fuel" if r is not None else _terminal_status(soup)
     return Trace(initial, steps, soup.term(), status, dict(soup.memo.stats))
 
 

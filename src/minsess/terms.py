@@ -310,7 +310,11 @@ _NO_FREE = ((), (), 1)
 
 
 def _scope(t) -> tuple:
-    """(children in preorder, names and variables the last child binds)."""
+    """(children in preorder, names and variables the last child binds).
+
+    With `_remake`, which rebuilds a node from what `_scope` lists, this is
+    the node table of the term rewrites: a rewrite handles the nodes it
+    changes and passes every other one through the two."""
     cls = t.__class__
     if cls is Output:
         return (t.subject, *t.payload, t.cont), (), ()
@@ -329,6 +333,28 @@ def _scope(t) -> tuple:
     if cls is Abs:
         return (t.body,), (), tuple(v for v, _ in t.params)
     raise TermError(f"unknown term node {t!r}")
+
+
+def _remake(t, done: list, bound: tuple, last):
+    """t rebuilt from its children in `_scope`'s order, all but the last in
+    done and the last one last, binding bound, which the last child binds."""
+    cls = t.__class__
+    if cls is Output:
+        return Output(done[0], tuple(done[1:]), last)
+    if cls is Input:
+        return Input(done[0], bound, last)
+    if cls is Select:
+        return Select(done[0], t.label, last)
+    if cls is Branch:
+        return Branch(done[0], tuple(zip([l for l, _ in t.branches], [*done[1:], last])))
+    if cls is App:
+        kids = [*done, last]
+        return App(kids[0], tuple(kids[1:]))
+    if cls is Par:
+        return Par(done[0], last)
+    if cls is Res:
+        return Res(bound[0], t.annot, last)
+    return Abs(tuple((b, c) for b, (_, c) in zip(bound, t.params)), last, t.shared)
 
 
 def _join(a: tuple, b: tuple) -> tuple:
@@ -547,109 +573,74 @@ def _leaf(t, vmap: dict, nmap: dict):
 
 
 def _sub(t, vmap: dict, nmap: dict, supply: NameSupply, memo: Memo):
-    """A trampoline step: t with the substitution applied."""
+    """A trampoline step: t with the substitution applied. Leaves and every
+    child but the last are substituted here, a binder that would capture is
+    renamed by one more entry in the maps, and the last child is a Tail
+    into `_remake`."""
     cls = t.__class__
     if cls in _LEAVES:
         return _leaf(t, vmap, nmap)
     if not _reaches(t, vmap, nmap, memo):
         return t
     memo.stats["nodes_substituted"] += 1
-    if cls is Output:
-        payload = []
-        for v in t.payload:
-            got = (yield _sub(v, vmap, nmap, supply, memo)) if v.__class__ is Abs else _leaf(v, vmap, nmap)
-            if got.__class__ is Name and v.__class__ is Var:
-                # only the first-order front end carries name payloads; a
-                # variable standing for a value must not become a name here
-                raise TermError("substitution put a name in payload position")
-            payload.append(got)
-        subject = _sub_subject(t.subject, vmap, nmap)
-        return Tail(_sub(t.cont, vmap, nmap, supply, memo), Output, subject, tuple(payload))
-    if cls is Input:
-        binders, vmap2, ren = _scope_vars(t.binders, vmap, supply, memo)
-        cont = t.cont if not ren else (yield _sub(t.cont, ren, {}, supply, memo))
-        subject = _sub_subject(t.subject, vmap, nmap)
-        return Tail(_sub(cont, vmap2, nmap, supply, memo), Input, subject, binders)
-    if cls is Select:
-        subject = _sub_subject(t.subject, vmap, nmap)
-        return Tail(_sub(t.cont, vmap, nmap, supply, memo), Select, subject, t.label)
-    if cls is Branch:
-        subject = _sub_subject(t.subject, vmap, nmap)
-        arms = []
-        for l, p in t.branches:
-            arms.append((l, (yield _sub(p, vmap, nmap, supply, memo))))
-        return Branch(subject, tuple(arms))
+    (*kids, last), bound_names, bound_vars = _scope(t)
+    done = []
+    for i, k in enumerate(kids):
+        got = _leaf(k, vmap, nmap) if k.__class__ in _LEAVES else (yield _sub(k, vmap, nmap, supply, memo))
+        done.append(_placed(cls, i, k, got))
+    bound = bound_names or bound_vars
+    if bound:
+        vmap, nmap, bound = _rebind(bound, last, vmap, nmap, supply, memo)
+    if last.__class__ in _LEAVES or cls is App:  # an argument is checked when placed
+        got = _leaf(last, vmap, nmap) if last.__class__ in _LEAVES else (yield _sub(last, vmap, nmap, supply, memo))
+        return _remake(t, done, bound, _placed(cls, len(done), last, got))
+    return Tail(_sub(last, vmap, nmap, supply, memo), _remake, t, done, bound)
+
+
+def _placed(cls, i: int, old, new):
+    """new, substituted for old as the i-th child of a cls node, if it may
+    stand there."""
     if cls is App:
-        fun = (yield _sub(t.fun, vmap, nmap, supply, memo)) if t.fun.__class__ is Abs else _leaf(t.fun, vmap, nmap)
-        if isinstance(fun, Name):
+        if i == 0 and new.__class__ is Name:
             raise TermError("substitution put a bare name in function position")
-        args = []
-        for a in t.args:
-            b = (yield _sub(a, vmap, nmap, supply, memo)) if a.__class__ is Abs else _leaf(a, vmap, nmap)
-            if isinstance(b, Abs):
-                raise TermError("substitution put an abstraction in argument position")
-            args.append(b)
-        return App(fun, tuple(args))
-    if cls is Par:
-        left = yield _sub(t.left, vmap, nmap, supply, memo)
-        return Tail(_sub(t.right, vmap, nmap, supply, memo), Par, left)
-    if cls is Res:
-        binder, nmap2, ren = _scope_name(t.binder, vmap, nmap, supply, memo)
-        body = t.body if not ren else (yield _sub(t.body, {}, ren, supply, memo))
-        return Tail(_sub(body, vmap, nmap2, supply, memo), Res, binder, t.annot)
-    if cls is Abs:
-        pv = tuple(v for v, _ in t.params)
-        binders, vmap2, ren = _scope_vars(pv, vmap, supply, memo)
-        body = t.body if not ren else (yield _sub(t.body, ren, {}, supply, memo))
-        params = tuple((b, c) for b, (_, c) in zip(binders, t.params))
-        return Tail(_sub(body, vmap2, nmap, supply, memo), _abs, params, t.shared)
-    raise TermError(f"unknown term node {t!r}")
+        if i and new.__class__ is Abs:
+            raise TermError("substitution put an abstraction in argument position")
+    elif old.__class__ is Var and new.__class__ is not Var:
+        if i == 0 and new.__class__ is not Name:  # a subject
+            raise TermError(f"substitution put a non-channel in subject position: {new!r}")
+        if i and new.__class__ is Name:
+            # only the first-order front end carries name payloads; a
+            # variable standing for a value must not become a name here
+            raise TermError("substitution put a name in payload position")
+    return new
 
 
-def _abs(params: tuple, shared: bool, body) -> Abs:
-    return Abs(params, body, shared)
-
-
-def _sub_subject(s: Subject, vmap: dict, nmap: dict) -> Subject:
-    if isinstance(s, Name):
-        return nmap.get(s, s)
-    got = vmap.get(s, s)
-    if not isinstance(got, (Name, Var)):
-        raise TermError(f"substitution put a non-channel in subject position: {got!r}")
-    return got
-
-
-def _scope_vars(binders, vmap, supply, memo: Memo):
-    """Drop shadowed entries; rename binders that would capture."""
-    vmap = {k: v for k, v in vmap.items() if k not in binders}
-    danger: set[Var] = set()
-    for v in vmap.values():
-        danger.update(_fv(v, memo)[1])
-    renames: dict[Var, Var] = {}
-    fresh_binders = []
-    for b in binders:
-        if b in danger:
-            nb = Var(supply.fresh(b.base), b.index)
-            renames[b] = nb
-            fresh_binders.append(nb)
-        else:
-            fresh_binders.append(b)
-    return tuple(fresh_binders), vmap, (renames or None)
-
-
-def _scope_name(binder: Name, vmap, nmap, supply, memo: Memo):
-    both = {binder, binder.dualized()}
-    nmap = {k: v for k, v in nmap.items() if k not in both}
-    danger: set[Name] = set(nmap.values())
-    for v in vmap.values():
-        danger.update(_fv(v, memo)[0])
-    if both & danger:
-        nb = Name(supply.fresh(binder.base), binder.index, False, binder.kind)
-        ren = {binder: nb}
-        if binder.kind == "session":
-            ren[binder.dualized()] = nb.dualized()
-        return nb, nmap, ren
-    return binder, nmap, None
+def _rebind(bound: tuple, body, vmap: dict, nmap: dict, supply: NameSupply, memo: Memo):
+    """The maps for the scope body of the binders bound, either names or
+    variables, and the binders: entries they shadow are dropped, and a
+    binder that occurs free in what an entry puts into body is renamed to
+    a fresh identifier by one more entry."""
+    names, vs = _fv(body, memo)[:2]
+    if bound[0].__class__ is Name:
+        nmap = {k: v for k, v in nmap.items() if k not in bound}
+        danger = {v for k, v in nmap.items() if k in names}
+        for k, v in vmap.items():
+            if k in vs:
+                danger.update(_fv(v, memo)[0])
+        if danger.isdisjoint(bound):
+            return vmap, nmap, bound
+        b = bound[0]
+        nb = Name(supply.fresh(b.base), b.index, False, b.kind)
+        nmap[b], nmap[bound[1]] = nb, nb.dualized()
+        return vmap, nmap, (nb, nb.dualized())
+    vmap = {k: v for k, v in vmap.items() if k not in bound}
+    danger = set()
+    for k, v in vmap.items():
+        if k in vs:
+            danger.update(_fv(v, memo)[1])
+    renames = {b: Var(supply.fresh(b.base), b.index) for b in bound if b in danger}
+    vmap.update(renames)
+    return vmap, nmap, tuple(renames.get(b, b) for b in bound)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,9 +1066,10 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
     def go(t: Process):
         # a step ends in a Tail that rebuilds its node around the encoded
         # continuation, so only the pending constructors stay on the stack
-        if isinstance(t, (Inact, App)):
+        cls = t.__class__
+        if cls is Inact or cls is App:
             return t
-        if isinstance(t, Output):
+        if cls is Output:
             item = t.payload[0] if len(t.payload) == 1 else None
             if isinstance(item, (Name, Lit)) or (isinstance(item, Var) and item in types):
                 carrier = pack(lookup(item))[1]
@@ -1089,25 +1081,20 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
                     if key is not None:
                         sent[key] = payload
                 return Tail(go(t.cont), Output, t.subject, payload)
-            return Tail(go(t.cont), Output, t.subject, t.payload)
-        if isinstance(t, Input):
+        elif cls is Input:
             if len(t.binders) == 1 and t.binders[0] in types:
                 hot, carrier = pack(lookup(t.binders[0]))
                 return Tail(go(t.cont), receive, t.subject, (t.binders[0], hot), carrier)
-            return Tail(go(t.cont), Input, t.subject, t.binders)
-        if isinstance(t, Select):
-            return Tail(go(t.cont), Select, t.subject, t.label)
-        if isinstance(t, Branch):
-            arms = []
-            for l, p in t.branches:
-                arms.append((l, (yield go(p))))
-            return Branch(t.subject, tuple(arms))
-        if isinstance(t, Par):
-            left = yield go(t.left)
-            return Tail(go(t.right), Par, left)
-        if isinstance(t, Res):
+        elif cls is Res:
             return Tail(go(t.body), Res, t.binder, pack(t.annot)[0])
-        raise TermError(f"unsupported construct for the first-order front end: {t!r}")
+        elif cls not in (Select, Branch, Par):
+            raise TermError(f"unsupported construct for the first-order front end: {t!r}")
+        # any other node: its processes encoded, its values kept
+        kids, _, bound = _scope(t)
+        done = []
+        for k in kids[:-1]:
+            done.append(k if k.__class__ in _LEAVES or k.__class__ is Abs else (yield go(k)))
+        return Tail(go(kids[-1]), _remake, t, done, bound)
 
     out = trampoline(go(term))
     if any(

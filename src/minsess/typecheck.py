@@ -23,11 +23,15 @@ sub-derivation, and `terms.trampoline` runs them from one loop, so depth
 costs heap, not Python stack. A rule's last sub-derivation is a
 `terms.Tail`: the rule's frame is gone while it runs, and only the small
 function that finishes the rule (`_touch`, `_joined`, `_sent`,
-`_received`, `_closed`, `_unscoped`, `_abstracted`) waits on the stack with
-its arguments, so a nested protocol holds no generator per level except
-in `Branch` and `App`. Rules update `lam` and `delta` in place into the
-leftovers, with restore tokens for binders; only `Branch` arms and
-promoted abstractions work on copies. Touched keys travel up as sets; a
+`_received`, `_abstracted`, and the module-level `_closed` for every
+restriction) waits on the stack with its arguments, so a nested protocol
+holds no generator per level except in `Branch` and `App`. Rules update
+`lam` and `delta` in place into the leftovers; only `Branch` arms and
+promoted abstractions work on copies. Every binder, an input's values,
+a restriction's endpoints (session or shared) and an abstraction's
+parameters, enters its environment through `_bind`, whose token
+`_unbind` hands back when the scope ends, with the value the binder left
+(`_MISSING` if it was consumed). Touched keys travel up as sets; a
 `Par`'s left keys wait as a tuple. A path is a linked tuple
 `(parent, *steps)` ending in `()`, flattened only into `Diagnostic.path`.
 `types_seen` lists the types alone; `check_minimal_typed` tests each as
@@ -183,19 +187,6 @@ class _Checker:
         if self.minimal and self.non_minimal is None and not is_minimal(t):
             self.non_minimal = (path, t)
 
-    # -- gamma scoping -----------------------------------------------------
-
-    def _gamma_add(self, key, t):
-        prev = self.gamma.get(key, _MISSING)
-        self.gamma[key] = t
-        return prev
-
-    def _gamma_restore(self, key, prev) -> None:
-        if prev is _MISSING:
-            self.gamma.pop(key, None)
-        else:
-            self.gamma[key] = prev
-
     # -- subjects ----------------------------------------------------------
 
     def _subject(self, u, lam: dict, delta: dict, path):
@@ -302,26 +293,6 @@ class _Checker:
         delta[p.subject] = t.cont
         return Tail(cont, _touch, p.subject)
 
-    def _bind_value_var(self, x: Var, u, lam: dict):
-        """Bind an input binder according to its payload type; returns a
-        restore token."""
-        if isinstance(u, TArrow) and not u.shared:
-            prev = lam.get(x, _MISSING)
-            lam[x] = u
-            return ("lam", x, prev)
-        prev = self._gamma_add(x, u)
-        return ("gamma", x, prev)
-
-    def _release_binder(self, token, lam: dict, path, rule: str) -> None:
-        where, x, prev = token
-        if where == "lam":
-            if x in lam:
-                raise CheckError(path, rule, f"linear value {x} not consumed")
-            if prev is not _MISSING:
-                lam[x] = prev
-        else:
-            self._gamma_restore(x, prev)
-
     def _input(self, p: Input, lam: dict, delta: dict, path):
         kind, t = self._subject(p.subject, lam, delta, path)
         if kind == "session":
@@ -339,14 +310,19 @@ class _Checker:
             expected = (t.payload,)
         for u in expected:
             self.see((path, "binder"), u)
-        tokens = tuple(self._bind_value_var(x, u, lam) for x, u in zip(p.binders, expected))
+        tokens = tuple(
+            _bind(lam if isinstance(u, TArrow) and not u.shared else self.gamma, x, u)
+            for x, u in zip(p.binders, expected)
+        )
         cont = self.proc(p.cont, lam, delta, (path, "cont"))
         return Tail(cont, _Checker._received, self, p.subject, lam, path, kind, tokens)
         yield  # a rule is a generator, also one that ends in a tail
 
     def _received(self, subject, lam: dict, path, kind: str, tokens: tuple, touched: set) -> set:
         for token in reversed(tokens):
-            self._release_binder(token, lam, path, "Rcv" if kind == "session" else "Acc")
+            if _unbind(token) is not _MISSING and token[0] is lam:
+                rule = "Rcv" if kind == "session" else "Acc"
+                raise CheckError(path, rule, f"linear value {token[1]} not consumed")
         if kind == "session":
             touched.add(subject)
         return touched
@@ -441,38 +417,11 @@ class _Checker:
         self.see((path, "annot"), p.annot)
         body_path = (path, "body")
         if is_session(p.annot):
-            s, sd = p.binder, self.dual(p.binder)
-            prev, prev_d = delta.get(s, _MISSING), delta.get(sd, _MISSING)
-            delta[s] = p.annot
-            delta[sd] = self.dual(p.annot)
-            body = self.proc(p.body, lam, delta, body_path)
-            return Tail(body, _Checker._closed, self, delta, s, prev, prev_d, body_path)
-        # shared restriction
-        prev = self._gamma_add(p.binder, p.annot)
-        return Tail(self.proc(p.body, lam, delta, body_path), _Checker._unscoped, self, p.binder, prev)
+            ends = (_bind(delta, p.binder, p.annot), _bind(delta, self.dual(p.binder), self.dual(p.annot)))
+        else:
+            ends = (_bind(self.gamma, p.binder, p.annot),)
+        return Tail(self.proc(p.body, lam, delta, body_path), _closed, ends, body_path)
         yield  # a rule is a generator, also one that ends in a tail
-
-    def _closed(self, delta: dict, s: Name, prev, prev_d, body_path, touched: set) -> set:
-        sd = self.dual(s)
-        for k in (s, sd):
-            t = delta.pop(k, _MISSING)
-            if t is _MISSING:
-                continue
-            if not _is_end(t):
-                raise CheckError(
-                    body_path, "Res",
-                    f"restricted endpoint {k} left at {ty.format_type(t)}",
-                )
-        for k, before in ((s, prev), (sd, prev_d)):
-            if before is not _MISSING:
-                delta[k] = before
-        touched.discard(s)
-        touched.discard(sd)
-        return touched
-
-    def _unscoped(self, key, prev, touched: set) -> set:
-        self._gamma_restore(key, prev)
-        return touched
 
     def _require_finished(self, delta: dict, touched: set, path) -> None:
         for k in touched:
@@ -514,33 +463,26 @@ class _Checker:
         # a promoted body sees no linear context at all; a linear one may
         # capture anything in scope
         lam_b, d_b = ({}, {}) if v.shared else (lam, delta)
-        saved = tuple((x, d_b.get(x, _MISSING)) for x, c in v.params if is_session(c))
-        d_b.update((x, c) for x, c in v.params if is_session(c))
-        tokens = tuple((x, self._gamma_add(x, c)) for x, c in v.params if not is_session(c))
+        tokens = tuple(_bind(d_b if is_session(c) else self.gamma, x, c) for x, c in v.params)
         body = self.proc(v.body, lam_b, d_b, body_path)
-        return Tail(body, _Checker._abstracted, self, v, delta, lam_b, d_b, body_path, saved, tokens)
+        return Tail(body, _Checker._abstracted, self, v, delta, lam_b, body_path, tokens)
         yield  # a value is a generator, also one that ends in a tail
 
-    def _abstracted(self, v: Abs, delta: dict, lam_b: dict, d_b: dict, body_path,
-                    saved: tuple, tokens: tuple, touched: set) -> TArrow:
+    def _abstracted(self, v: Abs, delta: dict, lam_b: dict, body_path, tokens: tuple,
+                    touched: set) -> TArrow:
         rule = "Prom" if v.shared else "Abs"
-        for x, tok in tokens:
-            self._gamma_restore(x, tok)
         if v.shared and lam_b:
             raise CheckError(body_path, rule, "shared abstraction kept linear leftovers")
-        for x, _ in saved:
-            t = d_b.pop(x, _MISSING)
-            if t is _MISSING or not _is_end(t):
+        for token in tokens:
+            t = _unbind(token)
+            if token[0] is not self.gamma and (t is _MISSING or not _is_end(t)):
                 raise CheckError(
                     body_path, rule,
-                    f"parameter {x} not driven to end "
+                    f"parameter {token[1]} not driven to end "
                     f"({'missing' if t is _MISSING else ty.format_type(t)})",
                 )
         if v.shared:
             return TArrow(tuple(c for _, c in v.params), True)
-        for x, prev in saved:
-            if prev is not _MISSING:
-                delta[x] = prev
         # endpoints the body touched are captured: they must be finished,
         # and they belong to the closure, not to the surrounding process,
         # which is left with no touched endpoint in delta
@@ -557,6 +499,37 @@ class _Checker:
 
 
 _MISSING = object()
+
+
+def _bind(env: dict, key, t) -> tuple:
+    """Bind key to t in env for a scope; the token restores what key had."""
+    token = (env, key, env.get(key, _MISSING))
+    env[key] = t
+    return token
+
+
+def _unbind(token: tuple):
+    """End the scope of a binding: the value key has left (`_MISSING` if
+    it was consumed), and key restored to what it had."""
+    env, key, prev = token
+    left = env.pop(key, _MISSING)
+    if prev is not _MISSING:
+        env[key] = prev
+    return left
+
+
+def _closed(ends: tuple, body_path, touched: set) -> set:
+    """Finish a restriction: each endpoint leaves scope, at `end` if it is
+    a session endpoint the body did not hand on."""
+    for token in ends:
+        t = _unbind(token)
+        if t is not _MISSING and is_session(t) and not _is_end(t):
+            raise CheckError(
+                body_path, "Res",
+                f"restricted endpoint {token[1]} left at {ty.format_type(t)}",
+            )
+        touched.discard(token[1])
+    return touched
 _RULES = {Inact: _Checker._inact, Output: _Checker._output, Input: _Checker._input,
           Select: _Checker._select, Branch: _Checker._branch, App: _Checker._app,
           Par: _Checker._par, Res: _Checker._res}

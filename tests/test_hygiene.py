@@ -72,17 +72,31 @@ def test_top_level_imports_are_used(module):
 
 # modules whose walks must run on explicit stacks: one Python frame per
 # prefix would overflow on protocols a few thousand prefixes long
-RECURSION_FREE = ("types.py", "typecheck.py")
+RECURSION_FREE = ("semantics.py", "terms.py", "types.py", "typecheck.py")
+
+
+def _trampoline_steps(fn: ast.AST) -> set:
+    """The ids of the calls in fn that `terms.trampoline` runs on its own
+    stack: the operand of a `yield`, and the first argument of a `Tail`."""
+    steps = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
+            steps.add(id(node.value))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Tail" and node.args:
+            steps.add(id(node.args[0]))
+    return steps
 
 
 def _self_calls(tree: ast.AST):
     """'name (line)' for every function, nested ones included, that calls
-    itself by name: `f(...)` inside f, or `self.f(...)` inside a method f."""
+    itself by name, other than as a trampoline step: `f(...)` inside f, or
+    `self.f(...)` inside a method f."""
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        steps = _trampoline_steps(node)
         for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
+            if not isinstance(call, ast.Call) or id(call) in steps:
                 continue
             f = call.func
             on_self = isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self"
@@ -96,3 +110,22 @@ def _self_calls(tree: ast.AST):
 def test_no_function_calls_itself(module):
     recursive = list(_self_calls(TREES[module]))
     assert not recursive, f"{module}: functions that call themselves: {recursive}"
+
+
+def _tracer_targets() -> tuple:
+    """`perfbench/tracer.py`'s TARGETS, read from its source."""
+    tracer = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(tracer.read_text(), str(tracer)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    pytest.fail("perfbench/tracer.py defines no TARGETS")
+
+
+@pytest.mark.parametrize("module,function", _tracer_targets())
+def test_tracer_targets_are_top_level_functions(module, function):
+    # the tracer looks each one up with getattr, which raises under
+    # `--trace 1` once a simplification has deleted or nested it
+    tree = TREES.get(f"{module}.py")
+    assert tree is not None, f"no module {module}.py in the package"
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert function in defined, f"{module}.py has no top-level function {function}"

@@ -12,6 +12,12 @@ well typed. A protocol is alpha-equal to its variant with every binder
 renamed and to its image under the identity substitution. Checking a
 protocol twice gives the same verdict.
 
+Substitution avoids capture: a protocol opened up with a free name and
+free variables beside every binder's scope, under a substitution whose
+values reuse the identifiers the protocol binds, gives the same result as
+its alpha-variant does, and the free names and variables the law of
+substitution predicts.
+
 Session types are generated from the end backwards: Int and Bool
 messages, higher-order payloads over a short generated protocol, binary
 choices of either polarity, and, at the tail, a loop around a recursion
@@ -43,6 +49,8 @@ from minsess.terms import (
     Subst,
     Var,
     alpha_eq,
+    free_names,
+    free_vars,
     parallel,
     prop_name,
     substitute,
@@ -272,6 +280,69 @@ def test_reached_states_are_normal_and_well_typed(p):
 def test_alpha_variants_and_identity_substitution_are_alpha_equal(p, fresh):
     assert alpha_eq(p, alpha(p, iter(fresh), names=True))
     assert alpha_eq(substitute(p, Subst()), p)
+
+
+M = sname("m")
+
+
+def leak():
+    """A component with the free name m, the free subject w and the free
+    payload z."""
+    return Output(M, (Var("z"),), Output(Var("w"), (Lit(0),), Inact()))
+
+
+def planted(t):
+    """t with `leak()` beside the scope of every binder."""
+    if isinstance(t, Par):
+        return Par(planted(t.left), planted(t.right))
+    if isinstance(t, Res):
+        return Res(t.binder, t.annot, Par(leak(), planted(t.body)))
+    if isinstance(t, Input):
+        return Input(t.subject, t.binders, Par(leak(), planted(t.cont)))
+    if isinstance(t, Output):
+        payload = tuple(
+            Abs(v.params, Par(leak(), planted(v.body)), v.shared) if isinstance(v, Abs) else v
+            for v in t.payload
+        )
+        return Output(t.subject, payload, planted(t.cont))
+    if isinstance(t, Select):
+        return Select(t.subject, t.label, planted(t.cont))
+    if isinstance(t, Branch):
+        return Branch(t.subject, tuple((l, planted(p)) for l, p in t.branches))
+    return t
+
+
+@st.composite
+def capturing_substitutions(draw):
+    """σ on m, ~m, w and z, whose values reuse the identifiers that the
+    generated protocols bind: inputs x and y, abstraction parameters b,
+    restrictions s, a, b and c. σ also maps a variable no protocol uses,
+    named as the first fresh identifier for a renamed binder is."""
+    n = sname(draw(st.sampled_from("sabc")))
+    consumer = Abs(((Var("v"), INT),), Output(n, (Var("y"),), App(Var("x"), (Var("v"),))))
+    vmap = {
+        Var("z"): draw(st.sampled_from((Var("x"), Var("y"), Var("b"), consumer, Lit(1)))),
+        Var("w"): draw(st.sampled_from((n, n.dualized(), Var("x")))),
+        Var(draw(st.sampled_from(("x'", "y'", "b'")))): Lit(2),
+    }
+    return Subst(tuple(vmap.items()), ((M, n), (M.dualized(), n.dualized())))
+
+
+def free(t) -> set:
+    return set(free_names(t)) | set(free_vars(t))
+
+
+@SETTINGS
+@given(protocols, capturing_substitutions(), st.permutations(FRESH))
+def test_substitution_avoids_capture(p, sigma, fresh):
+    q = Par(leak(), planted(p))
+    got = substitute(q, sigma)
+    assert alpha_eq(got, substitute(alpha(q, iter(fresh)), sigma))
+    images = dict(sigma.var_map + sigma.name_map)
+    want = free(q) - set(images)
+    for x in free(q) & set(images):
+        want |= free(images[x])
+    assert free(got) == want
 
 
 @SETTINGS

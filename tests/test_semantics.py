@@ -1,6 +1,8 @@
 """Normal form, canonical state identity, stepping, policy order, and the
 exhaustive explorer."""
 
+import pytest
+
 from minsess.terms import (
     Abs,
     App,
@@ -111,7 +113,7 @@ class TestNormalize:
         assert t.steps[0].term == Res(sname("g'"), one, Par(
             Input(g.dualized(), (Var("x"),), Inact()), Output(sname("g'"), (SINK,), Inact())
         ))
-        assert t.status == "fuel" and not enabled(t.final)
+        assert t.status == "inert" and not enabled(t.final)
 
     def test_clashing_reserved_binders_take_the_next_free_indices(self):
         c1, c4 = prop_name(1), prop_name(4)
@@ -442,6 +444,15 @@ class TestRun:
         p = Res(s, SOut((U_SINK,), END), comm_pair(s))
         t = run(p, fuel=0)
         assert t.status == "fuel"
+
+    @pytest.mark.parametrize("ending", ["inert", "stuck"])
+    def test_fuel_for_exactly_the_steps_reports_how_the_run_ends(self, ending):
+        p = two_message_session()
+        if ending == "stuck":
+            p = Par(p, App(Var("y"), (Lit(True),)))
+        assert len(run(p).steps) == 4
+        assert run(p, fuel=4).status == ending
+        assert run(p, fuel=3).status == "fuel"
 
 
 def two_message_session():

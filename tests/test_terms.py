@@ -169,6 +169,14 @@ def test_substitute_name_into_subject():
     assert got == Output(u, (Lit(0),), Inact())
 
 
+def test_a_renamed_binder_is_not_substituted_again():
+    # the capturing binder y is renamed to y', which sigma also maps: the
+    # renaming and sigma apply at once, so y' stays bound
+    s, x, y, y1 = Name("s"), Var("x"), Var("y"), Var("y'")
+    got = substitute(Input(s, (y,), Output(s, (x, y), Inact())), Subst.of_vars({x: y, y1: Lit(5)}))
+    assert got == Input(s, (y1,), Output(s, (y, y1), Inact()))
+
+
 def test_substitute_rejects_name_in_payload():
     x, u = Var("x"), Name("u", 1)
     p = Output(Name("n", 1), (x,), Inact())
