@@ -31,6 +31,13 @@ soups, and a step costs what its redex consumes and makes:
   computed only for a term or a key.
 - `run` picks each redex from an index of senders, receivers and betas that
   each step updates, and materializes a step's term only when it is read.
+- The components a redex makes are recorded with the component that
+  fired it, under its partner and label, and reused, renderings included,
+  in every state of `explore` where the same components meet again. Only
+  products with no restriction on their parallel spine are recorded, since
+  hoisting and collision renaming depend on the state; the free names of
+  the others are among the consumed components' names, so which of them
+  are hoisted does not depend on the state either.
 
 The identifiers in use and the reserved indices of the state are gathered
 only when a hoisted binder collides. Every cache lives in the soups of one
@@ -107,14 +114,19 @@ class _Comp:
     binder that collides with one of its names is renamed. So its sort key
     is fixed: `key`, the lazy `terms.Rendering` over its slots, ordered
     first, and on a tie the rendering over no slots, the literal
-    tie-breaker, made only for such ties."""
+    tie-breaker, made only for such ties.
 
-    __slots__ = ("term", "names", "slots", "_memo", "_key", "_literal", "_reserved")
+    `fired` maps (partner, label) to the components a redex of this one
+    with that partner made, when they can be reused in every state where
+    the redex fires (see `_normalize`); the partner is None for a beta."""
+
+    __slots__ = ("term", "names", "slots", "fired", "_memo", "_key", "_literal", "_reserved")
 
     def __init__(self, term, memo: Memo) -> None:
         self.term = term
         self.names = tuple(dict.fromkeys(_positive(n) for n in free_names(term, memo)))
         self.slots: tuple = ()
+        self.fired: Optional[dict] = None
         self._memo = memo
         self._key: Optional[Rendering] = None
         self._literal: Optional[Rendering] = None
@@ -131,9 +143,9 @@ class _Comp:
         return self._literal
 
     def release(self) -> None:
-        """Drop the renderings, remade on demand: a component `run` has
-        consumed is kept only for its term."""
-        self._key = self._literal = None
+        """Drop the renderings, remade on demand, and the redexes fired: a
+        component `run` has consumed is kept only for its term."""
+        self._key = self._literal = self.fired = None
 
     def __lt__(self, other: "_Comp") -> bool:
         less = self.key().less(other.key())
@@ -155,19 +167,25 @@ class _Soup:
     computed only when `term` or `canonical_key` asks for it, and the term
     is materialized only when asked for. `memo` is the call's `terms.Memo`.
 
-    A soup that still has `raw` terms to flatten in comes from `_fire` or
-    `_as_soup`; it owns its containers, and `_normalize` completes them in
-    place, checking the names in `dying` (counts that fell to zero) for
-    dead binders. A normal soup is not changed, except that `run`, which
-    keeps one soup per step for its term, drops the counts of a soup it
-    has stepped from: `fresh` lists the components its normalization made."""
+    A soup whose `raw` is not None is still to be normalized: it comes
+    from `_fire` or `_as_soup` with the `raw` terms to flatten in and the
+    `made` components a fired redex reuses, owns its containers, and
+    `_normalize` completes them in place, checking the names in `dying`
+    (counts that fell to zero) for dead binders and recording what it made
+    under `source`, the fired component and its key, when it can be
+    reused. A normal soup is not changed, except that `run`, which keeps
+    one soup per step for its term, drops the counts of a soup it has
+    stepped from: `fresh` lists the components its normalization added."""
 
-    __slots__ = ("binders", "comps", "counts", "memo", "raw", "dying", "fresh", "_order", "_term")
+    __slots__ = ("binders", "comps", "counts", "memo", "raw", "made", "dying", "source",
+                 "fresh", "_order", "_term")
 
     def __init__(self, binders: dict, comps: list, counts: Optional[dict], memo: Memo,
-                 raw: tuple = (), dying: tuple = (), fresh: list = ()) -> None:
+                 raw: Optional[tuple] = None, made: tuple = (), dying: tuple = (),
+                 source: Optional[tuple] = None, fresh: list = ()) -> None:
         self.binders, self.comps, self.counts, self.memo = binders, comps, counts, memo
-        self.raw, self.dying, self.fresh = raw, dying, fresh
+        self.raw, self.made, self.dying, self.source = raw, made, dying, source
+        self.fresh = fresh
         self._order: Optional[tuple] = None
         self._term = None
 
@@ -191,19 +209,25 @@ class _Soup:
 
 
 def _normalize(soup: _Soup) -> _Soup:
-    """The normalized soup: the raw terms are flattened in after the
-    components, which are already normal and in order, and each new
-    component is merged in after every component that does not sort after
-    it, as a stable sort would place it.
+    """The normalized soup: the made components and then the raw terms,
+    flattened, are added to the components, which are already normal and
+    in order, each merged in after every component that does not sort
+    after it, as a stable sort would place it.
 
     A raw restriction whose binder collides with a binder, a free name of
     the state or a free name of the raw terms is renamed throughout its
     scope (both polarities): reserved bookkeeping names move to an index
     above every reserved name of the state, others take a primed base.
     Dead binders are then dropped. The identifiers in use and the reserved
-    indices of the state are gathered only when a binder collides."""
+    indices of the state are gathered only when a binder collides.
+
+    Raw terms with no restriction on their parallel spine flatten to the
+    same components in every state: their free names are among those of
+    the components the redex consumed, and so are their hoisted ones, the
+    slots. Such components are recorded under the soup's `source`, and
+    the redex reuses them wherever it fires again."""
     raw = soup.raw
-    if not raw:
+    if raw is None:
         return soup
     memo = soup.memo
     binders, kept, counts = soup.binders, soup.comps, soup.counts
@@ -232,19 +256,26 @@ def _normalize(soup: _Soup) -> _Soup:
         else:
             new.append(_Comp(t, memo))
 
-    for c in new:
+    if claims is None and soup.source is not None:
+        owner, key = soup.source
+        if owner.fired is None:
+            owner.fired = {}
+        owner.fired[key] = tuple(new)
+    added = [*soup.made, *new]
+    for c in added:
         for n in c.names:
             counts[n] = counts.get(n, 0) + 1
     for b in (*soup.dying, *claimed):
         if b not in counts and b in binders:
             del binders[b]
-    stats = memo.stats
     for c in new:
         c.slots = tuple(n for n in c.names if n in binders)
+    for c in added:
         insort_right(kept, c)
+    stats = memo.stats
     stats["normalizations"] += 1
     stats["components_built"] += len(new)
-    return _Soup(binders, kept, counts, memo, fresh=new)
+    return _Soup(binders, kept, counts, memo, fresh=added)
 
 
 class _Claims:
@@ -421,44 +452,61 @@ def apply_redex(p, r: Redex):
 
 
 def _fire(soup: _Soup, r: Redex) -> _Soup:
-    """The soup after firing r, with the produced terms still raw: the
-    consumed components are sliced out and their names' counts lowered."""
+    """The soup after firing r, with what it produces still to normalize:
+    the consumed components are sliced out and their names' counts
+    lowered. The components r makes are taken from r's entry in the
+    `fired` table of its sender or application, if there is one; else the
+    produced terms are left raw, and their normalization may record them
+    there."""
     comps, memo = soup.comps, soup.memo
     binders = dict(soup.binders)
+    c = comps[r.i]
     if r.kind == "beta":
-        gone = (comps[r.i],)
+        gone = (c,)
         kept = comps[:r.i] + comps[r.i + 1:]
-        a: App = gone[0].term
-        f: Abs = a.fun
-        if len(f.params) != len(a.args):
-            raise SemanticsError("application arity mismatch")
-        sub = Subst.of_vars({x: v for (x, _), v in zip(f.params, a.args)})
-        new: tuple = (substitute(f.body, sub, memo),)
     else:
         lo, hi = sorted((r.i, r.j))
-        gone = (comps[r.i], comps[r.j])
+        gone = (c, comps[r.j])
         kept = comps[:lo] + comps[lo + 1:hi] + comps[hi + 1:]
-        out_c, in_c = gone[0].term, gone[1].term
-        if r.kind == "comm":
-            sub = Subst.of_vars(dict(zip(in_c.binders, out_c.payload)))
-            new = (out_c.cont, substitute(in_c.cont, sub, memo))
-        else:
-            new = (out_c.cont, in_c.branch(r.label))
-        if out_c.subject.kind == "session":
-            pos = gone[0].names[0]  # the positive endpoint of the subject
+        out = c.term
+        if out.subject.kind == "session":
+            pos = c.names[0]  # the positive endpoint of the subject
             if pos in binders:
-                binders[pos] = _advance(binders[pos], out_c.subject, r.label)
+                binders[pos] = _advance(binders[pos], out.subject, r.label)
+    key = (gone[1] if r.j is not None else None, r.label)
+    made = c.fired.get(key) if c.fired is not None else None
+    if made is not None:
+        memo.stats["steps_reused"] += 1
+        raw, source = (), None
+    else:
+        raw, made, source = _produce(r, gone, memo), (), (c, key)
     counts = dict(soup.counts)
     dying = []
-    for c in gone:
-        for n in c.names:
+    for g in gone:
+        for n in g.names:
             k = counts[n] - 1
             if k:
                 counts[n] = k
             else:
                 del counts[n]
                 dying.append(n)
-    return _Soup(binders, kept, counts, memo, new, tuple(dying))
+    return _Soup(binders, kept, counts, memo, raw, made, tuple(dying), source)
+
+
+def _produce(r: Redex, gone: tuple, memo: Memo) -> tuple:
+    """The terms that firing r on the components gone produces."""
+    if r.kind == "beta":
+        a: App = gone[0].term
+        f: Abs = a.fun
+        if len(f.params) != len(a.args):
+            raise SemanticsError("application arity mismatch")
+        sub = Subst.of_vars({x: v for (x, _), v in zip(f.params, a.args)})
+        return (substitute(f.body, sub, memo),)
+    out_c, in_c = gone[0].term, gone[1].term
+    if r.kind == "comm":
+        sub = Subst.of_vars(dict(zip(in_c.binders, out_c.payload)))
+        return (out_c.cont, substitute(in_c.cont, sub, memo))
+    return (out_c.cont, in_c.branch(r.label))
 
 
 class _Redexes:
@@ -615,14 +663,21 @@ class Exploration:
 
 def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     """Breadth-first closure of the reachable state space up to `fuel`
-    reduction steps, memoized on the canonical erased form. `stats` counts
-    what `run`'s does, and `dedup_hits`: edges to a state already seen."""
+    reduction steps, memoized on the canonical erased form. A redex whose
+    products have no restriction on their parallel spine makes its
+    components once and reuses them in every state where it fires again.
+    `stats` counts what `run`'s does, and `dedup_hits`: edges to a state
+    already seen; `steps_reused`: edges whose redex reused its components;
+    `cut_by_fuel`: states left unexpanded at depth `fuel`; and
+    `cut_by_max_states`: states reached but left out because `max_states`
+    were already kept. `truncated` is set when either cut is not zero."""
     s0 = _as_soup(p)
     k0 = canonical_key(s0)
     states = {k0: s0.term()}
     depth = {k0: 0}
     terminals: dict = {}
-    truncated = False
+    cut_by_fuel = 0
+    cut_by_max_states: set = set()
     frontier = [(k0, s0)]
     edges = hits = 0
     while frontier:
@@ -634,7 +689,7 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
                 terminals[k] = _terminal_status(s)
                 continue
             if d >= fuel:
-                truncated = True
+                cut_by_fuel += 1
                 continue
             for r in rs:
                 t = apply_redex(s, r)
@@ -644,11 +699,14 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
                     hits += 1
                     continue
                 if len(states) >= max_states:
-                    truncated = True
+                    cut_by_max_states.add(tk)
                     continue
                 states[tk] = t.term()
                 depth[tk] = d + 1
                 nxt.append((tk, t))
         frontier = nxt
-    stats = dict(s0.memo.stats, dedup_hits=hits)
+    counted = s0.memo.stats
+    stats = dict(counted, dedup_hits=hits, steps_reused=counted["steps_reused"],
+                 cut_by_fuel=cut_by_fuel, cut_by_max_states=len(cut_by_max_states))
+    truncated = bool(cut_by_fuel or cut_by_max_states)
     return Exploration(states, depth, terminals, truncated, edges, stats)

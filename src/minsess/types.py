@@ -44,20 +44,23 @@ class TypeError_(Exception):
 
 
 class _Printed:
-    """Types print in their surface syntax."""
+    """Types print, and show in `repr`, in their surface syntax, which
+    `format_type` renders without recursion."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return format_type(self)
 
+    __repr__ = __str__
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, repr=False)
 class SEnd(_Printed):
     """Completed protocol."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class _Prefix(_Printed):
     payload: tuple["VType", ...]
     cont: "SType"
@@ -67,21 +70,21 @@ class _Prefix(_Printed):
             raise TypeError_(f"{self._what} type needs a non-empty payload tuple")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class SOut(_Prefix):
     """Send a tuple of values, then continue: !<U,...>;S."""
 
     _what = "output"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class SIn(_Prefix):
     """Receive a tuple of values, then continue: ?<U,...>;S."""
 
     _what = "input"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class _Choice(_Printed):
     branches: tuple[tuple[str, "SType"], ...]
 
@@ -89,17 +92,17 @@ class _Choice(_Printed):
         _check_branches(self.branches)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class SSel(_Choice):
     """Internal choice +{l:S, ...}: this side picks the label."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class SBra(_Choice):
     """External choice &{l:S, ...}: this side offers all labels."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class SRec(_Printed):
     """rec t . S, contractive (body is not a bare variable)."""
 
@@ -111,19 +114,19 @@ class SRec(_Printed):
             raise TypeError_("non-contractive recursive type")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class SVar(_Printed):
     var: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class TBase(_Printed):
     """Opaque base type (Int, Bool)."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class TArrow(_Printed):
     """Abstraction type over channel parameters: lin(C,...) or un(C,...)."""
 
@@ -135,7 +138,7 @@ class TArrow(_Printed):
             raise TypeError_("arrow type needs at least one parameter")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class TChan(_Printed):
     """Shared channel type chan U carrying values of type U."""
 

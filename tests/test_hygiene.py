@@ -1,10 +1,11 @@
-"""Source hygiene of the `minsess` package: no dead private helpers and no
-unused imports.
+"""Source hygiene of the `minsess` package: no dead private helpers, no
+unused imports and no state that outlives a call.
 
 A module-level function or class with a single leading underscore must be
 referenced somewhere in the package outside its own definition, and every
 name a module imports at top level must be used in that module. Dunder
-names are exempt.
+names are exempt. What a module binds at top level is never mutated, and
+nothing is memoized by `functools`: every cache belongs to one call.
 """
 
 import ast
@@ -129,3 +130,57 @@ def test_tracer_targets_are_top_level_functions(module, function):
     assert tree is not None, f"no module {module}.py in the package"
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert function in defined, f"{module}.py has no top-level function {function}"
+
+
+# a module-level container outlives every call: a cache kept there would
+# let one call profit from the work of another, such as an earlier pass of
+# a benchmark over the same inputs
+MUTATORS = {"append", "add", "update", "setdefault", "clear", "pop", "popitem",
+            "extend", "insert", "remove", "discard"}
+MEMOIZERS = {"cache", "lru_cache"}
+
+
+def _module_bindings(tree: ast.Module) -> set:
+    """The names a module assigns at top level."""
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _mutations(tree: ast.Module):
+    """'what (line)' for every mutation of a module-level binding, every
+    `global` statement and every `functools` memoizer in the module."""
+    bound = _module_bindings(tree)
+
+    def on_binding(node) -> bool:
+        return isinstance(node, (ast.Subscript, ast.Attribute)) and \
+            isinstance(node.value, ast.Name) and node.value.id in bound
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield f"global {', '.join(node.names)} (line {node.lineno})"
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            for t in targets:
+                if on_binding(t):
+                    yield f"{t.value.id} written (line {node.lineno})"
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Attribute) and f.attr in MUTATORS and on_binding(f):
+                yield f"{f.value.id}.{f.attr} (line {node.lineno})"
+            if getattr(f, "id", None) in MEMOIZERS or getattr(f, "attr", None) in MEMOIZERS:
+                yield f"functools memoizer (line {node.lineno})"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # a bare decorator is no call
+            for d in node.decorator_list:
+                if getattr(d, "id", None) in MEMOIZERS or getattr(d, "attr", None) in MEMOIZERS:
+                    yield f"functools memoizer (line {d.lineno})"
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_module_level_state_is_never_mutated(module):
+    found = list(_mutations(TREES[module]))
+    assert not found, f"{module}: state that outlives a call: {found}"

@@ -8,7 +8,8 @@ alpha-variants must have the same key and explored key set; a variant
 renames input and abstraction binders to fresh identifiers and may also
 rename restriction binders and permute the parallel components under the
 top-level restrictions. Every state a protocol reaches must be normal and
-well typed. A protocol is alpha-equal to its variant with every binder
+well typed, and `explore`, which reuses what a redex makes, must reach
+what a search that builds every state from its term reaches. A protocol is alpha-equal to its variant with every binder
 renamed and to its image under the identity substitution. Checking a
 protocol twice gives the same verdict.
 
@@ -426,6 +427,66 @@ def test_run_agrees_with_the_term_path(p):
         assert step.subject == (None if r.subject is None else str(r.subject))
         assert apply_redex(state, r) == nxt
     assert normalize(t.final) == t.final and not enabled(t.final)
+
+
+def _ending(term) -> str:
+    """How a state with no redex ends: "inert" if every component is a
+    prefix waiting for a partner, else "stuck"."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Res):
+            stack.append(t.body)
+        elif isinstance(t, Par):
+            stack += (t.left, t.right)
+        elif not isinstance(t, (Inact, Input, Output, Select, Branch)):
+            return "stuck"
+    return "inert"
+
+
+def _term_path_closure(p):
+    """(depth of each key, terminals, edges) of a breadth-first search that
+    fires every enabled redex on each materialized state, from scratch."""
+    first = normalize(p)
+    depth = {canonical_key(first): 0}
+    terminals: dict = {}
+    edges = 0
+    frontier = [first]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            k = canonical_key(t)
+            rs = enabled(t)
+            if not rs:
+                terminals[k] = _ending(t)
+            for r in rs:
+                u = apply_redex(t, r)
+                edges += 1
+                uk = canonical_key(u)
+                if uk not in depth:
+                    depth[uk] = depth[k] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return depth, terminals, edges
+
+
+@SETTINGS
+@given(st.one_of(
+    protocols, relays(),
+    st.tuples(clashing_sessions(), clashing_sessions()).map(lambda pq: Par(*pq)),
+))
+def test_explore_agrees_with_the_term_path(p):
+    """`explore`, which reuses the components a redex makes wherever it
+    fires again, reaches the states, depths, edges and terminals of a
+    search in which every step builds its state anew. Two clashing
+    sessions side by side meet reused redexes with ones whose released
+    restrictions are hoisted and renamed."""
+    ex = explore(p)
+    assert not ex.truncated
+    depth, terminals, edges = _term_path_closure(p)
+    assert ex.depth == depth and set(ex.states) == set(depth)
+    assert ex.terminals == terminals
+    assert ex.edges == edges
 
 
 def _payloads(depth: int):

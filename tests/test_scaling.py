@@ -5,7 +5,8 @@ Int message, a lin(Int) abstraction that the receiver applies beside its
 continuation, and a choice, the two sides taking turns; a relay is a
 source, forwarding stages and a sink, one channel per hop. Both are built
 back to front with loops. Long terms are compared by their keys, never
-with `==`, whose dataclass recursion would overflow on them.
+with `==`, whose dataclass recursion would overflow on them. Sessions side
+by side multiply `explore`'s states, but not the components it builds.
 """
 
 import pytest
@@ -85,6 +86,18 @@ def relay(n: int):
     return p, n + 1
 
 
+def rpc(chan: str, reply: int):
+    """Five states on chan: the client selects "go", sends a lin(Int)
+    abstraction and awaits an Int reply; the server replies and then
+    applies the abstraction."""
+    s, ns = sname(chan), sname(chan).dualized()
+    x, y = Var("x"), Var("y")
+    client = Select(s, "go", Output(s, (Abs(((Var("b"), INT),), Inact()),), Input(s, (y,), Inact())))
+    serve = Input(ns, (x,), Output(ns, (Lit(reply),), App(x, (Lit(reply),))))
+    t = SSel((("go", SOut((LIN_INT,), SIn((INT,), END))), ("stop", END)))
+    return Res(s, t, Par(client, Branch(ns, (("go", serve), ("stop", Inact())))))
+
+
 def chain(n: int, binder: str = "x"):
     """One component of n prefixes on s, inputs and outputs alternating."""
     s = sname("s")
@@ -143,3 +156,17 @@ def test_trace_and_exploration_count_their_work():
     assert ex.stats["dedup_hits"] == ex.edges - (len(ex.states) - 1) == 1
     assert ex.stats["normalizations"] == ex.edges + 1
     assert ex.stats["full_renderings"] >= 1
+
+
+def test_explore_work_grows_linearly_in_the_sessions():
+    """k distinct sessions side by side reach 5**k states, but each
+    session's redexes make their components, and render them, once."""
+    work = {}
+    for k in (2, 3, 4):
+        ex = explore(parallel([rpc(f"s{i}", i) for i in range(k)]))
+        assert len(ex.states) == 5**k and not ex.truncated
+        assert ex.stats["dedup_hits"] == ex.edges - (len(ex.states) - 1)
+        assert ex.stats["normalizations"] == ex.edges + 1
+        work[k] = ex.stats["components_built"], ex.stats["full_renderings"]
+    for k in (3, 4):
+        assert all(0 < w <= w2 * k / 2 for w, w2 in zip(work[k], work[2])), work

@@ -476,6 +476,11 @@ def two_message_session():
     )
 
 
+def bool_session(c, v, rest_in=None):
+    """(νc:!⟨Bool⟩;end)(c!⟨v⟩.0 | c̄?(x).rest_in)"""
+    return Res(c, SOut((BOOL,), END), comm_pair(c, payload=Lit(v), rest_in=rest_in))
+
+
 class TestMultiStep:
     """Each comm instantiates an input continuation that itself starts with
     an input, so substitution must pass under an input prefix."""
@@ -520,3 +525,43 @@ class TestExplore:
         p = Res(s, SOut((U_SINK,), END), comm_pair(s))
         ex = explore(p, fuel=0)
         assert ex.truncated
+
+    def test_counters_of_reuse_and_cuts(self):
+        # two sessions that tell their states apart: four states, four edges
+        p = Par(bool_session(sname("s"), True), bool_session(sname("r"), False))
+        ex = explore(p)
+        assert (len(ex.states), ex.edges) == (4, 4)
+        # each comm fires in two states and makes its components once
+        assert ex.stats["steps_reused"] == 2
+        assert (ex.stats["cut_by_fuel"], ex.stats["cut_by_max_states"]) == (0, 0)
+        assert not ex.truncated
+        # both states at depth 1 have a redex left
+        ex = explore(p, fuel=1)
+        assert (ex.stats["cut_by_fuel"], ex.stats["cut_by_max_states"]) == (2, 0)
+        assert ex.truncated
+        # one state at depth 1 and the one at depth 2 are reached but not kept
+        ex = explore(p, max_states=2)
+        assert len(ex.states) == 2
+        assert (ex.stats["cut_by_fuel"], ex.stats["cut_by_max_states"]) == (0, 2)
+        assert ex.truncated
+
+    def test_products_with_a_restriction_are_not_reused(self):
+        # hoisting a released binder depends on the state, so a comm that
+        # releases one makes its components afresh wherever it fires
+        dead = Res(sname("d"), END, Inact())
+        p = Par(bool_session(sname("s"), True, dead), bool_session(sname("r"), False, dead))
+        ex = explore(p)
+        assert (len(ex.states), ex.edges) == (4, 4)
+        assert ex.stats["steps_reused"] == 0
+
+    def test_what_a_sender_made_is_kept_apart_per_partner(self):
+        # two servers on one shared name: the client's two redexes make
+        # different states from the same sender
+        a, b, c = (Name(x, None, False, "shared") for x in "abc")
+        x = Var("x")
+        servers = [Input(a, (x,), Output(n, (x,), Inact())) for n in (b, c)]
+        p = parallel([Output(a, (Lit(1),), Inact()), *servers])
+        want = {canonical_key(p)} | {canonical_key(apply_redex(p, r)) for r in enabled(p)}
+        ex = explore(p)
+        assert set(ex.states) == want and len(want) == 3
+        assert (ex.edges, len(ex.terminals)) == (2, 2)

@@ -335,6 +335,15 @@ def test_type_queries_walk_long_protocols():
     assert format_type(sel).count("&{") == LONG // 4 - 1
 
 
+def test_repr_is_the_surface_syntax_of_long_protocols():
+    # so that a failing assertion on a long type prints it
+    t, _ = long_protocol()
+    loop = SRec("t", long_protocol(var="t")[0])
+    assert repr(t) == format_type(t)
+    assert repr([loop]) == f"[{format_type(loop)}]"
+    assert repr(HO) == "lin(!<Bool>;end)"
+
+
 def test_encode_nptype_walks_long_protocols():
     def pkg(c):
         return TArrow((SIn((TArrow((c,), False),), END),), False)
