@@ -389,32 +389,37 @@ class Redex:
     label: Optional[str] = None
 
 
-def _partner(out_subject: Name) -> Name:
-    """The subject of the prefix an output or selection on out_subject
-    synchronizes with."""
-    return out_subject if out_subject.kind == "shared" else out_subject.dualized()
+def _meets(out, inp) -> bool:
+    """Whether a sender and a receiver on endpoints of one channel
+    synchronize: on opposite endpoints of a session, or on one shared name,
+    an output whose payload has as many values as the input has binders, or
+    a selection whose label the branch offers."""
+    if out.subject.kind == "session" and out.subject.dual == inp.subject.dual:
+        return False
+    if out.__class__ is Output:
+        return inp.__class__ is Input and len(out.payload) == len(inp.binders)
+    return inp.__class__ is Branch and any(l == out.label for l, _ in inp.branches)
 
 
 def enabled(p) -> list[Redex]:
-    comps = [c.term for c in _as_soup(p).comps]
+    """Every redex of the state. A prefix's subject, a free name, has its
+    positive endpoint first among its component's names."""
+    comps = _as_soup(p).comps
     receivers: dict[Name, list[int]] = {}
     for j, d in enumerate(comps):
-        if isinstance(d, (Input, Branch)) and isinstance(d.subject, Name):
-            receivers.setdefault(d.subject, []).append(j)
+        if isinstance(d.term, (Input, Branch)) and isinstance(d.term.subject, Name):
+            receivers.setdefault(d.names[0], []).append(j)
     out: list[Redex] = []
     for i, c in enumerate(comps):
-        if isinstance(c, App) and isinstance(c.fun, Abs):
+        t = c.term
+        if isinstance(t, App) and isinstance(t.fun, Abs):
             out.append(Redex("beta", i))
-        elif isinstance(c, Output) and isinstance(c.subject, Name):
-            for j in receivers.get(_partner(c.subject), ()):
-                d = comps[j]
-                if isinstance(d, Input) and len(c.payload) == len(d.binders):
-                    out.append(Redex("comm", i, j, _positive(c.subject)))
-        elif isinstance(c, Select) and isinstance(c.subject, Name):
-            for j in receivers.get(_partner(c.subject), ()):
-                d = comps[j]
-                if isinstance(d, Branch) and any(l == c.label for l, _ in d.branches):
-                    out.append(Redex("select", i, j, _positive(c.subject), c.label))
+        elif isinstance(t, (Output, Select)) and isinstance(t.subject, Name):
+            n = c.names[0]
+            for j in receivers.get(n, ()):
+                if _meets(t, comps[j].term):
+                    out.append(Redex("comm", i, j, n) if t.__class__ is Output else
+                               Redex("select", i, j, n, t.label))
     return out
 
 
@@ -556,15 +561,8 @@ class _Redexes:
         if not receivers:
             return
         for c in self.senders.get(n, ()):
-            out = c.term
             for d in receivers:
-                t = d.term
-                if n.kind == "session" and t.subject.dual == out.subject.dual:
-                    continue
-                if out.__class__ is Output:
-                    if t.__class__ is Input and len(out.payload) == len(t.binders):
-                        yield c, d
-                elif t.__class__ is Branch and any(l == out.label for l, _ in t.branches):
+                if _meets(c.term, d.term):
                     yield c, d
 
     def first(self, comps: list) -> Optional[Redex]:

@@ -20,28 +20,26 @@ recursive-channel tuples.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Union
 
 from .types import (
+    _CHILDREN,
     BOOL,
     CType,
     END,
     INT,
     SIn,
-    SOut,
-    SSel,
-    SBra,
-    SRec,
     TArrow,
     TBase,
     TChan,
     TypeError_,
+    _text,
     canon_key,
     fold,
     is_session,
+    remake,
 )
 
 RESERVED_PREFIX = "#"
@@ -142,6 +140,47 @@ def is_reserved(n: object) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _Term:
+    """Processes and abstractions compare node by node on a worklist through
+    `_scope`, and hash by their template, so neither recurses."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Term):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            cls = x.__class__
+            if x is y or cls is Inact and y.__class__ is Inact:
+                continue
+            if cls is not y.__class__:
+                return False
+            if cls in _LEAVES:  # names, variables and literals by their fields
+                if x != y or cls is Lit and x.value.__class__ is not y.value.__class__:
+                    return False
+                continue
+            (xs, *xb), (ys, *yb) = _scope(x), _scope(y)
+            if len(xs) != len(ys) or xb != yb or _extra(x) != _extra(y):
+                return False
+            stack += zip(xs, ys)
+        return True
+
+    def __hash__(self) -> int:
+        return hash(template(self, ())[0])
+
+
+def _extra(t):
+    """What a node carries besides what `_scope` lists."""
+    cls = t.__class__
+    if cls is Select or cls is Branch:
+        return t.label if cls is Select else [l for l, _ in t.branches]
+    if cls is Res:
+        return t.annot
+    return (t.shared, [c for _, c in t.params]) if cls is Abs else None
+
+
 @dataclass(frozen=True, slots=True)
 class Lit:
     value: object  # int | bool
@@ -155,8 +194,8 @@ class Lit:
         return BOOL if isinstance(self.value, bool) else INT
 
 
-@dataclass(frozen=True, slots=True)
-class Abs:
+@dataclass(frozen=True, slots=True, eq=False)
+class Abs(_Term):
     """Abstraction \\lin(x:C,...) -> P or \\un(...) -> P.
 
     Linear abstractions may capture linear resources and must be applied
@@ -184,20 +223,20 @@ Arg = Union[Name, Var, Lit]
 Subject = Union[Name, Var]
 
 
-@dataclass(frozen=True, slots=True)
-class Inact:
+@dataclass(frozen=True, slots=True, eq=False)
+class Inact(_Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Output:
+@dataclass(frozen=True, slots=True, eq=False)
+class Output(_Term):
     subject: Subject
     payload: tuple[Payload, ...]
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True)
-class Input:
+@dataclass(frozen=True, slots=True, eq=False)
+class Input(_Term):
     subject: Subject
     binders: tuple[Var, ...]
     cont: "Process"
@@ -207,15 +246,15 @@ class Input:
             raise TermError(f"duplicate input binders: {self.binders}")
 
 
-@dataclass(frozen=True, slots=True)
-class Select:
+@dataclass(frozen=True, slots=True, eq=False)
+class Select(_Term):
     subject: Subject
     label: str
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True)
-class Branch:
+@dataclass(frozen=True, slots=True, eq=False)
+class Branch(_Term):
     subject: Subject
     branches: tuple[tuple[str, "Process"], ...]
 
@@ -233,8 +272,8 @@ class Branch:
         raise KeyError(label)
 
 
-@dataclass(frozen=True, slots=True)
-class App:
+@dataclass(frozen=True, slots=True, eq=False)
+class App(_Term):
     fun: Value
     args: tuple[Arg, ...]
 
@@ -243,14 +282,14 @@ class App:
             raise TermError("literals cannot be applied")
 
 
-@dataclass(frozen=True, slots=True)
-class Par:
+@dataclass(frozen=True, slots=True, eq=False)
+class Par(_Term):
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True, slots=True)
-class Res:
+@dataclass(frozen=True, slots=True, eq=False)
+class Res(_Term):
     """new n : T in P. A session annotation binds both n and ~n."""
 
     binder: Name
@@ -648,18 +687,6 @@ def _rebind(bound: tuple, body, vmap: dict, nmap: dict, supply: NameSupply, memo
 # ---------------------------------------------------------------------------
 
 
-_PLAIN = re.compile(r"[\w'#]*")
-
-
-def _text(text: str) -> str:
-    """text as it stands in a rendering: identifiers, primed or reserved
-    ones too, verbatim, and anything else as `$<length>:` and the text, so
-    that no two texts render alike."""
-    if text.isidentifier() or _PLAIN.fullmatch(text):
-        return text
-    return f"${len(text)}:{text}"
-
-
 def _tokens(t, slots: tuple, out: list, stats: Counter, quota: int = 1):
     """Render t into out on an explicit stack, in steps of quota, twice
     that, and so on, nodes, so a rendering stopped early has done at most
@@ -926,25 +953,23 @@ def alpha_eq(a, b) -> bool:
 
 
 def _np_rule(t, kids, packages: dict):
-    cls = t.__class__
-    if cls is SOut or cls is SIn:
-        return cls(tuple(_np_payload(u, k, packages) for u, k in zip(t.payload, kids)), kids[-1])
-    if cls is SSel or cls is SBra:
-        return cls(tuple((l, k) for (l, _), k in zip(t.branches, kids)))
-    if cls is SRec:
-        return SRec(t.var, kids[0])
-    return t  # end, variables, base types; arrows, rejected as payloads
+    """The rule of a fold along the spine: the children off it, a prefix's
+    payloads, become their package types."""
+    children = _CHILDREN[t.__class__](t)
+    payloads = children[:len(children) - len(kids)]
+    return remake(t, [*(_np_payload(u, packages) for u in payloads), *kids])
 
 
-def _np_payload(c, inner, packages: dict):
-    """The package type of a payload of type c translated to inner; payloads
-    of one type up to binder names share one, keyed by `canon_key` in
-    packages."""
+def _np_payload(c, packages: dict):
+    """The package type of a payload of type c, translated by a fold of
+    its own; payloads of one type up to binder names share one, keyed by
+    `canon_key` in packages."""
     if not (isinstance(c, TBase) or is_session(c)):
         raise TypeError_(f"unsupported first-order payload {c!r}")
     key = canon_key(c)
     got = packages.get(key)
     if got is None:
+        inner = fold(c, _np_rule, env=packages, spine=True) if is_session(c) else c
         got = packages[key] = TArrow((package_type(inner),), shared=False)
     return got
 
@@ -955,7 +980,7 @@ def encode_nptype(t):
     package is typed with, where C' is C translated."""
     if isinstance(t, (TArrow, TChan)):
         raise TypeError_(f"unsupported first-order type {t!r}")
-    return fold(t, _np_rule, env={})
+    return fold(t, _np_rule, env={}, spine=True)
 
 
 def package_type(c: CType) -> SIn:
@@ -1028,6 +1053,7 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
     types = dict(name_types or {})
     supply = NameSupply(lambda: used_bases(term))
     packs: dict = {}  # key of a channel type -> (its translation, package type)
+    packed: dict = {}  # id of a channel type met -> (the type, its entry in packs)
     packages: dict = {}  # the translations' package types, as in encode_nptype
     params: dict = {}  # id of a package type -> the parameters of its packages
     sent: dict = {}  # (id of a package type, literal type, value) -> the payload packing it
@@ -1045,11 +1071,14 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
         """A channel type translated, and the type of the channel that carries
         a package of it; once per type up to binder names and call, so a long
         protocol holds each once."""
-        key = canon_key(c)
-        if key not in packs:
-            hot = fold(c, _np_rule, env=packages) if is_session(c) else c
-            packs[key] = (hot, package_type(hot))
-        return packs[key]
+        got = packed.get(id(c))
+        if got is None:
+            key = canon_key(c)
+            if key not in packs:
+                hot = fold(c, _np_rule, env=packages, spine=True) if is_session(c) else c
+                packs[key] = (hot, package_type(hot))
+            got = packed[id(c)] = (c, packs[key])
+        return got[1]
 
     def lookup(item) -> CType:
         if isinstance(item, Lit):

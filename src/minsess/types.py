@@ -10,26 +10,36 @@ needed when a protocol is split across a tuple of channels.
 
 Every query is one rule over one traversal. `_CHILDREN` lists each node's
 children, payloads and parameters first and the continuations last, and
-`fold` walks them post-order on an explicit stack, so that a protocol
-thousands of prefixes long costs no Python stack depth. A query's rule
-maps a node and the values of its children to the node's value. `dual`
-and `gdecomp` follow the continuation spine alone; `gdecomp` decomposes
-each payload by a call of its own, so that nesting, not length, costs
-stack. A selection's arm takes the duals of its continuation's parts,
-which are minimal, instead of decomposing the dualized continuation; the
-two agree unless the continuation's spine holds a recursion binder that
-is not tail-recursive, and such an arm decomposes its dual as before. The
-binder-scoped queries, `canon_key`, `subst_tvar` and `free_tvars`, pass
-an environment down the same stack, which a recursion binder extends for
-its body. The printers build ropes of nested tuples that `_flatten` joins
-once, so a key costs time linear in its length. `equal_types` is a loop
-over a worklist of pairs.
+`_HEAD` what else a node carries: arity, labels, the `shared` flag, a
+variable or base name. `fold` walks the children post-order on an
+explicit stack, so that a protocol thousands of prefixes long costs no
+Python stack depth, and a query's rule maps a node and its children's
+values to the node's value; a rule that builds types rebuilds each node
+through `remake`, which keeps its head. `dual` and `gdecomp` follow the
+continuation spine alone; `gdecomp` decomposes each payload by a call of
+its own, so that nesting, not length, costs stack. A selection's arm
+takes the duals of its continuation's parts, which are minimal, instead
+of decomposing the dualized continuation; the two agree unless the
+continuation's spine holds a recursion binder that is not tail-recursive,
+and such an arm decomposes its dual as before. The binder-scoped queries,
+`canon_key`, `subst_tvar` and `free_tvars`, pass an environment down the
+same stack, which a recursion binder extends for its body.
+
+One printer, `_format_rule`, gives the surface syntax of `format_type`
+and the key of `canon_key`, which is that text with recursion binders
+numbered by depth, free variables marked `@`, and labels and names
+escaped by `_text`, as in term renderings: two types share a key exactly
+when they are equal up to binder names. It builds ropes of nested tuples
+that `_flatten` joins once, so a key costs time linear in its length. One
+worklist, `_same`, compares two types node by node: with unfolding it is
+`equal_types`, without it `==`, whose `hash` is that of the key.
 
 Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -44,8 +54,8 @@ class TypeError_(Exception):
 
 
 class _Printed:
-    """Types print, and show in `repr`, in their surface syntax, which
-    `format_type` renders without recursion."""
+    """Types print, and show in `repr`, in their surface syntax, compare
+    node by node and hash by their key; none of the three recurses."""
 
     __slots__ = ()
 
@@ -54,37 +64,40 @@ class _Printed:
 
     __repr__ = __str__
 
+    def __eq__(self, other) -> bool:
+        return _same(self, other, False) if other.__class__ in _HEAD else NotImplemented
 
-@dataclass(frozen=True, slots=True, repr=False)
+    def __hash__(self) -> int:
+        return hash(canon_key(self))
+
+
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class SEnd(_Printed):
     """Completed protocol."""
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class _Prefix(_Printed):
     payload: tuple["VType", ...]
     cont: "SType"
 
     def __post_init__(self) -> None:
         if not self.payload:
-            raise TypeError_(f"{self._what} type needs a non-empty payload tuple")
+            what = "output" if self.__class__ is SOut else "input"
+            raise TypeError_(f"{what} type needs a non-empty payload tuple")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class SOut(_Prefix):
     """Send a tuple of values, then continue: !<U,...>;S."""
 
-    _what = "output"
 
-
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class SIn(_Prefix):
     """Receive a tuple of values, then continue: ?<U,...>;S."""
 
-    _what = "input"
 
-
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class _Choice(_Printed):
     branches: tuple[tuple[str, "SType"], ...]
 
@@ -92,17 +105,17 @@ class _Choice(_Printed):
         _check_branches(self.branches)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class SSel(_Choice):
     """Internal choice +{l:S, ...}: this side picks the label."""
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class SBra(_Choice):
     """External choice &{l:S, ...}: this side offers all labels."""
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class SRec(_Printed):
     """rec t . S, contractive (body is not a bare variable)."""
 
@@ -114,19 +127,19 @@ class SRec(_Printed):
             raise TypeError_("non-contractive recursive type")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class SVar(_Printed):
     var: str
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class TBase(_Printed):
     """Opaque base type (Int, Bool)."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class TArrow(_Printed):
     """Abstraction type over channel parameters: lin(C,...) or un(C,...)."""
 
@@ -138,7 +151,7 @@ class TArrow(_Printed):
             raise TypeError_("arrow type needs at least one parameter")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class TChan(_Printed):
     """Shared channel type chan U carrying values of type U."""
 
@@ -190,6 +203,29 @@ _SPINE: dict = {
     SOut: lambda t: (t.cont,), SIn: lambda t: (t.cont,),
     SSel: _arms, SBra: _arms, SRec: _CHILDREN[SRec],
 }
+# node class -> what a node carries besides its children
+_HEAD: dict = {
+    SEnd: lambda t: None, SVar: lambda t: t.var, TBase: lambda t: t.name,
+    SOut: lambda t: len(t.payload), SIn: lambda t: len(t.payload),
+    SSel: lambda t: [l for l, _ in t.branches], SBra: lambda t: [l for l, _ in t.branches],
+    SRec: lambda t: t.var, TArrow: lambda t: (len(t.params), t.shared), TChan: lambda t: None,
+}
+
+
+def remake(t: AnyType, kids, cls=None) -> AnyType:
+    """A node of class cls, t's own by default, with t's head and the
+    children kids in `_CHILDREN` order; a prefix given its continuation
+    alone, as in a fold along the spine, keeps its payloads."""
+    cls = cls or t.__class__
+    if cls is SOut or cls is SIn:
+        return cls(tuple(kids[:-1]) if len(kids) > 1 else t.payload, kids[-1])
+    if cls is SSel or cls is SBra:
+        return cls(tuple(zip([l for l, _ in t.branches], kids)))
+    if cls is SRec:
+        return SRec(t.var, kids[0])
+    if cls is TArrow:
+        return TArrow(tuple(kids), t.shared)
+    return TChan(kids[0]) if cls is TChan else t
 
 
 def fold(t: AnyType, rule: Callable, bind: Callable = None, env=None, spine: bool = False):
@@ -281,18 +317,11 @@ def subst_tvar(t: AnyType, var: str, repl: SType) -> AnyType:
         return env
 
     def rule(t, kids, env):
-        cls = t.__class__
-        if cls is SVar:
+        if t.__class__ is SVar:
             return env[t.var][0] if t.var in env else t
-        if cls is SOut or cls is SIn:
-            return cls(tuple(kids[:-1]), kids[-1])
-        if cls is SSel or cls is SBra:
-            return cls(tuple(zip([l for l, _ in t.branches], kids)))
-        if cls is SRec:
-            return SRec(env[t.var][0].var if t.var in env else t.var, kids[0])
-        if cls is TArrow:
-            return TArrow(tuple(kids), t.shared)
-        return TChan(kids[0]) if cls is TChan else t
+        if t.__class__ is SRec and t.var in env:  # a renamed binder
+            return SRec(env[t.var][0].var, kids[0])
+        return remake(t, kids)
 
     return fold(t, rule, bind, {var: (repl, free_tvars(repl))})
 
@@ -302,13 +331,12 @@ def unfold(t: SRec) -> SType:
     return subst_tvar(t.body, t.var, t)
 
 
-def unfold_top(t: SType, limit: int = 64) -> SType:
-    """Unfold until the head is not a recursive binder."""
-    for _ in range(limit + 1):
-        if not isinstance(t, SRec):
-            return t
+def unfold_top(t: SType) -> SType:
+    """Unfold until the head is not a recursive binder. A binder's body is
+    no bare variable, so each unfolding strips one leading binder."""
+    while isinstance(t, SRec):
         t = unfold(t)
-    raise TypeError_("recursive type does not reach a head constructor")
+    return t
 
 
 def _tvar_sites(body: SType, var: str) -> tuple[bool, bool]:
@@ -343,22 +371,22 @@ def is_tail_recursive(t: SType) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_SWAP = {SOut: SIn, SIn: SOut, SSel: SBra, SBra: SSel}
+
+
 def _dual_rule(t, kids, env):
     cls = t.__class__
-    if cls is SOut or cls is SIn:
-        return (SIn if cls is SOut else SOut)(t.payload, kids[0])
-    if cls is SSel or cls is SBra:
-        return (SBra if cls is SSel else SSel)(tuple(zip([l for l, _ in t.branches], kids)))
+    swapped = _SWAP.get(cls)
+    if swapped is not None:
+        return remake(t, kids, swapped)
     if cls is SRec:
         in_payload, on_spine = _tvar_sites(t.body, t.var)
         if in_payload and on_spine:
-            raise TypeError_(
-                "recursion variable occurs both in a payload and on the "
-                "spine; duality is not defined on this fragment"
-            )
+            raise TypeError_("recursion variable occurs both in a payload and on the "
+                             "spine; duality is not defined on this fragment")
         # the swapped unfolding is the swapped body with the whole type for
         # the variable, since payloads are not swapped
-        return subst_tvar(kids[0], t.var, t) if in_payload else SRec(t.var, kids[0])
+        return subst_tvar(kids[0], t.var, t) if in_payload else remake(t, kids)
     if cls is SEnd or cls is SVar:
         return t
     raise TypeError_(f"dual undefined for {t!r}")
@@ -366,14 +394,12 @@ def _dual_rule(t, kids, env):
 
 def dual(t: SType) -> SType:
     """Endpoint-compatible partner type: swaps ! with ? and + with &.
-
     Payloads are unchanged. For recursive types whose variable occurs
     only along the continuation spine the swap commutes with the binder;
     when the variable occurs inside a payload the swap is applied to the
     unfolding instead (the binder's scope does not survive the swap).
     Variables occurring both in a payload and on the spine are out of
-    the supported fragment.
-    """
+    the supported fragment."""
     return fold(t, _dual_rule, spine=True)
 
 
@@ -382,30 +408,11 @@ def dual(t: SType) -> SType:
 # ---------------------------------------------------------------------------
 
 
-def _key_rule(t, kids, env):
-    cls = t.__class__
-    if cls is SOut or cls is SIn:
-        return "!(" if cls is SOut else "?(", _joined(kids[:-1], ","), ")", kids[-1]
-    if cls is SSel or cls is SBra:
-        arms = [(l, ":", k) for (l, _), k in zip(t.branches, kids)]
-        return "+[" if cls is SSel else "&[", _joined(arms, ","), "]"
-    if cls is SVar:
-        depth, levels = env
-        return f"f:{t.var}" if t.var not in levels else f"v{depth - 1 - levels[t.var]}"
-    if cls is SRec:
-        return "u.", kids[0]
-    if cls is TArrow:
-        return "sh(" if t.shared else "ln(", _joined(kids, ","), ")"
-    if cls is TChan:
-        return "c(", kids[0], ")"
-    return "b:" + t.name if cls is TBase else "e"
-
-
 def canon_key(t: AnyType) -> str:
-    """Deterministic key, recursion binders numbered by nesting depth (the
-    innermost enclosing binder is v0)."""
+    """The printed type with binders numbered by depth, free variables
+    marked and names escaped (see `_format_rule`)."""
     bind = lambda r, env: (env[0] + 1, {**env[1], r.var: env[0]})  # noqa: E731
-    return _flatten(fold(t, _key_rule, bind, (0, {})))
+    return _flatten(fold(t, _format_rule, bind, (0, {})))
 
 
 def type_alpha_eq(a: AnyType, b: AnyType) -> bool:
@@ -413,47 +420,37 @@ def type_alpha_eq(a: AnyType, b: AnyType) -> bool:
     return canon_key(a) == canon_key(b)
 
 
-def equal_types(a: AnyType, b: AnyType) -> bool:
-    """Equivalence up to unfolding of recursive types (and binder names).
-
+def _same(a: AnyType, b: AnyType, unfolding: bool) -> bool:
+    """Whether a and b agree node by node, heads and children, on a
+    worklist of pairs; with unfolding, up to unfolding and binder names.
     Sound and complete on regular types: the pairs explored are drawn
     from the finite subterm closures of both sides. Only a pair with a
     recursive side is keyed: it holds if the keys agree, and is unfolded
-    once per pair of keys otherwise. Every other pair splits into its
-    children's pairs, and a shared subterm holds at once.
-    """
+    once per pair of keys otherwise. A shared subterm holds at once; a
+    node of no type class equals only itself."""
     seen: set[tuple[str, str]] = set()
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
         if a is b:
             continue
-        ca, cb = a.__class__, b.__class__
-        if ca is SRec or cb is SRec:
+        ca = a.__class__
+        if unfolding and (ca is SRec or b.__class__ is SRec):
             key = (canon_key(a), canon_key(b))
             if key[0] != key[1] and key not in seen:
                 seen.add(key)
                 stack.append((unfold(a), b) if ca is SRec else (a, unfold(b)))
-        elif ca is not cb:
+            continue
+        head = _HEAD.get(ca)
+        if head is None or ca is not b.__class__ or head(a) != head(b):
             return False
-        elif ca is SOut or ca is SIn:
-            if len(a.payload) != len(b.payload):
-                return False
-            stack.append((a.cont, b.cont))
-            stack.extend(zip(a.payload, b.payload))
-        elif ca is SSel or ca is SBra:
-            if [l for l, _ in a.branches] != [l for l, _ in b.branches]:
-                return False
-            stack.extend(zip(_arms(a), _arms(b)))
-        elif ca is TArrow:
-            if a.shared != b.shared or len(a.params) != len(b.params):
-                return False
-            stack.extend(zip(a.params, b.params))
-        elif ca is TChan:
-            stack.append((a.payload, b.payload))
-        elif a != b:  # SEnd, SVar, TBase: leaves
-            return False
+        stack.extend(zip(_CHILDREN[ca](a), _CHILDREN[ca](b)))
     return True
+
+
+def equal_types(a: AnyType, b: AnyType) -> bool:
+    """Equivalence up to unfolding of recursive types (and binder names)."""
+    return _same(a, b, True)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +477,7 @@ def gdecomp_val(u: AnyType) -> AnyType:
     parameter tuples, shared channels decompose their payload."""
     if is_session(u):
         raise TypeError_(f"not a value type: {u!r}")
-    return gdecomp(u)
+    return u if u.__class__ is TBase else gdecomp(u)
 
 
 def gdecomp_params(params: tuple[CType, ...]) -> tuple[CType, ...]:
@@ -490,10 +487,7 @@ def gdecomp_params(params: tuple[CType, ...]) -> tuple[CType, ...]:
     for c in params:
         if isinstance(c, TArrow):
             raise TypeError_(f"not a channel parameter type: {c!r}")
-        if is_session(c):
-            out.extend(gdecomp(c))
-        else:
-            out.append(gdecomp(c))
+        out += gdecomp(c) if is_session(c) else [gdecomp_val(c)]
     return tuple(out)
 
 
@@ -508,7 +502,7 @@ def _gdecomp_rule(t, kids, env):
     its spine holds a recursion binder that is not tail-recursive."""
     cls = t.__class__
     if cls is SOut or cls is SIn:
-        head = cls(tuple(gdecomp_val(u) for u in t.payload), END)
+        head = remake(t, (*map(gdecomp_val, t.payload), END))
         if isinstance(t.cont, SEnd):
             return [head], False
         kids[0][0].append(head)
@@ -517,12 +511,12 @@ def _gdecomp_rule(t, kids, env):
         if is_tail_recursive(t):
             # one single-prefix loop per prefix; the variable closes the list
             var = SVar(t.var)
-            return [SRec(t.var, h.__class__(h.payload, var)) for h in kids[0][0][1:]], False
-        return [SRec(t.var, g) for g in kids[0][0]], True
+            return [remake(t, (remake(h, (var,)),)) for h in kids[0][0][1:]], False
+        return [remake(t, (g,)) for g in kids[0][0]], True
     if cls is TArrow:
-        return TArrow(gdecomp_params(t.params), t.shared)
+        return remake(t, gdecomp_params(t.params))
     if cls is TChan:
-        return TChan(gdecomp_val(t.payload))
+        return remake(t, (gdecomp_val(t.payload),))
     if cls is not SSel and cls is not SBra:
         return ([t], False) if cls is SEnd or cls is SVar else t
     if cls is SBra:
@@ -537,16 +531,13 @@ def _gdecomp_rule(t, kids, env):
         for (_, s), (k, odd) in zip(t.branches, kids):
             parts = gdecomp(dual(s)) if odd else [dual(g) for g in reversed(k)]
             arms.append(SIn((TArrow(tuple(parts), False),), END))
-    return [cls(tuple(zip([l for l, _ in t.branches], arms)))], any(odd for _, odd in kids)
+    return [remake(t, arms)], any(odd for _, odd in kids)
 
 
 def gdecomp(t: AnyType):
-    """Decompose a type into minimal form.
-
-    Session types return the list of minimal session types their prefix
-    sequence flattens into; value and channel types return a single
-    decomposed type.
-    """
+    """Decompose a type into minimal form: a session type into the list of
+    minimal session types its prefix sequence flattens into, a value or
+    channel type into a single decomposed type."""
     got = fold(t, _gdecomp_rule, spine=True)
     return got[0][::-1] if got.__class__ is tuple else got
 
@@ -596,10 +587,8 @@ def envdecomp(env: Mapping) -> dict:
         if is_session(t):
             if getattr(key, "index", None) is None:
                 raise TypeError_(f"session entry {key} is not indexed")
-            parts = gdecomp(t)
-            base = key.index
-            for off, part in enumerate(parts):
-                out[key.with_index(base + off)] = part
+            for off, part in enumerate(gdecomp(t)):
+                out[key.with_index(key.index + off)] = part
         else:
             out[key] = gdecomp_val(t)
     return out
@@ -636,18 +625,12 @@ def env_step(delta: Mapping) -> list[dict]:
                 if len(st.payload) == len(rt.payload) and all(
                     equal_types(x, y) for x, y in zip(st.payload, rt.payload)
                 ):
-                    nxt = dict(delta)
-                    nxt[send] = st.cont
-                    nxt[recv] = rt.cont
-                    out.append(nxt)
+                    out.append({**delta, send: st.cont, recv: rt.cont})
             if isinstance(st, SSel) and isinstance(rt, SBra):
                 offered = dict(rt.branches)
                 for label, cont in st.branches:
                     if label in offered:
-                        nxt = dict(delta)
-                        nxt[send] = cont
-                        nxt[recv] = offered[label]
-                        out.append(nxt)
+                        out.append({**delta, send: cont, recv: offered[label]})
     return out
 
 
@@ -657,21 +640,39 @@ def env_step(delta: Mapping) -> list[dict]:
 
 
 def _format_rule(t, kids, env):
+    """A node's text, as a rope, from its children's: the surface syntax
+    with env None, and the key under the binder levels env otherwise."""
     cls = t.__class__
     if cls is SOut or cls is SIn:
         return "!<" if cls is SOut else "?<", _joined(kids[:-1], ","), ">;", kids[-1]
     if cls is SSel or cls is SBra:
-        arms = [(l, ": ", k) for (l, _), k in zip(t.branches, kids)]
+        arms = [(l if env is None else _text(l), ": ", k) for (l, _), k in zip(t.branches, kids)]
         return "+{" if cls is SSel else "&{", _joined(arms, ", "), "}"
     if cls is SRec:
-        return "rec ", t.var, ".", kids[0]
+        return "rec ", t.var if env is None else f"%{env[0] - 1}", ".", kids[0]
     if cls is TArrow:
         return "un(" if t.shared else "lin(", _joined(kids, ","), ")"
     if cls is TChan:
         return "chan ", kids[0]
-    return "end" if cls is SEnd else t.var if cls is SVar else t.name
+    if cls is SEnd or env is None:
+        return "end" if cls is SEnd else t.var if cls is SVar else t.name
+    if cls is SVar:
+        return f"%{env[1][t.var]}" if t.var in env[1] else "@" + _text(t.var)
+    return _text(t.name) if t.name != "end" else "$3:end"  # not the end of a protocol
 
 
 def format_type(t: AnyType) -> str:
     """Render a type in its readable surface syntax."""
     return _flatten(fold(t, _format_rule))
+
+
+_PLAIN = re.compile(r"[\w'#]*")
+
+
+def _text(text: str) -> str:
+    """text as it stands in a key or a term rendering: identifiers, primed
+    or reserved ones too, verbatim, and anything else as `$<length>:` and
+    the text, so that no two texts render alike."""
+    if text.isidentifier() or _PLAIN.fullmatch(text):
+        return text
+    return f"${len(text)}:{text}"

@@ -31,6 +31,8 @@ continuation, which outside non-tail loops is the duals of the
 continuation's parts.
 """
 
+import copy
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -68,8 +70,11 @@ from minsess.types import (
     SSel,
     SVar,
     TArrow,
+    TBase,
+    balanced,
     canon_key,
     dual,
+    env_step,
     equal_types,
     gdecomp,
     is_minimal,
@@ -489,18 +494,19 @@ def test_explore_agrees_with_the_term_path(p):
     assert ex.edges == edges
 
 
-def _payloads(depth: int):
+def _payloads(depth: int, labels):
     base = st.sampled_from((INT, BOOL))
     if depth == 0:
         return base
-    inner = session_types(depth - 1, loop=st.none()).map(lambda pair: pair[0])
+    inner = session_types(depth - 1, loop=st.none(), labels=labels).map(lambda pair: pair[0])
     return st.one_of(base, st.builds(TArrow, st.tuples(inner), st.booleans()))
 
 
 LOOPS = st.sampled_from(("tail", "payload", "choice"))
 
 
-def _build(prefix, loop, var):
+def _build(prefix, loop, var, labels=None):
+    (go, stop), (again, done) = (labels, labels) if labels else (("go", "stop"), ("again", "done"))
     t = SEnd()
     if loop is not None:
         kind, steps = loop
@@ -511,28 +517,30 @@ def _build(prefix, loop, var):
         for step, u in reversed(steps):
             body = (SOut if step in ("out", "sel") else SIn)((u,), body)
         if kind == "choice":
-            body = SSel((("again", body), ("done", SEnd())))
+            body = SSel(((again, body), (done, SEnd())))
         t = SRec(var, body)
     for step, u in reversed(prefix):
         if step in ("out", "in"):
             t = (SOut if step == "out" else SIn)((u,), t)
         else:
-            arms = (("go", t), ("stop", SEnd()))
+            arms = ((go, t), (stop, SEnd()))
             t = SSel(arms) if step == "sel" else SBra(arms)
     return t
 
 
 @st.composite
-def session_types(draw, depth: int = 1, loop=st.none() | LOOPS):
+def session_types(draw, depth: int = 1, loop=st.none() | LOOPS, labels=None):
     """(t, u): a session type, and the same type with its recursion
     binder, if it has one, named u instead of t. A loop is a tail loop of
     messages, a loop whose variable rides in a payload, or a loop of
-    messages under a choice."""
-    steps = st.tuples(st.sampled_from(("out", "in", "sel", "bra")), _payloads(depth))
+    messages under a choice. Choices are over two fixed labels, or over a
+    pair drawn from the strategy labels."""
+    steps = st.tuples(st.sampled_from(("out", "in", "sel", "bra")), _payloads(depth, labels))
     prefix = draw(st.lists(steps, max_size=4))
     kind = draw(loop)
     body = (kind, draw(st.lists(steps, min_size=1, max_size=3))) if kind else None
-    return _build(prefix, body, "t"), _build(prefix, body, "u")
+    names = draw(labels) if labels is not None else None
+    return _build(prefix, body, "t", names), _build(prefix, body, "u", names)
 
 
 def _recursive_tail(t):
@@ -594,3 +602,33 @@ def test_decomposition_commutes_with_duality(pair):
     if _loop_kind(t) in (None, "tail"):
         # what lets a selection arm take the dual of its continuation's parts
         assert gdecomp(dual(t)) == [dual(g) for g in gdecomp(t)]
+
+
+# labels from identifiers and the punctuation of keys
+KEY_LABELS = st.lists(st.text("xye,:}@$ ", max_size=4), min_size=2, max_size=2, unique=True)
+LABELLED = (SRec("t", SSel((("x:e,y", END),))), SRec("t", SSel((("x", END), ("y", END)))))
+BASE_NAMED = (SRec("t", SIn((TArrow((TBase("Int,e"),), False),), SVar("t"))),
+              SRec("t", SIn((TArrow((INT, END), False),), SVar("t"))))
+
+
+@SETTINGS
+@given(session_types(labels=KEY_LABELS), session_types(labels=KEY_LABELS), st.booleans())
+@example((LABELLED[0], None), (LABELLED[1], None), False)
+@example((BASE_NAMED[0], None), (BASE_NAMED[1], None), False)
+def test_keys_decide_equality(first, second, again):
+    # every binder is named t, so equality up to binder names is equality
+    t = first[0]
+    u = copy.deepcopy(t) if again else second[0]
+    assert (canon_key(t) == canon_key(u)) == (t == u)
+    assert t != u or hash(t) == hash(u)
+
+
+@SETTINGS
+@given(session_types())
+def test_stepped_environments_stay_balanced(pair):
+    s = sname("s")
+    envs = [{s: pair[0], s.dualized(): dual(pair[0])}]
+    for _ in range(4):
+        assert all(balanced(env) for env in envs)
+        envs = [stepped for env in envs for stepped in env_step(env)]
+    assert all(balanced(env) for env in envs)

@@ -417,3 +417,68 @@ def test_trampoline_tails_release_their_step():
 
     assert trampoline(down(100_000)) == 100_000
     assert trampoline(nested()) == 30
+
+
+def long_session(n, last=0):
+    """(νs)(A | B): A sends n Int literals, the last one last, and B
+    receives them; s is annotated with the n outputs."""
+    s = Name("s")
+    t, a, b = END, Inact(), Inact()
+    for i in reversed(range(n)):
+        t = SOut((INT,), t)
+        a = Output(s, (Lit(last if i == n - 1 else i),), a)
+        b = Input(s.dualized(), (Var(f"x{i}"),), b)
+    return Res(s, t, Par(a, b))
+
+
+def delegation(n, last=0):
+    """n interactions on s, every other one delegating a fresh channel of
+    type ?<Int>;end whose other end the sender drives, the rest sending Int
+    literals, the last one last; and the types of the packaged items."""
+    c, s = SIn((INT,), END), Name("s")
+    t, a, b, name_types, chans = END, Inact(), Inact(), {}, []
+    for i in reversed(range(n)):
+        x = Var(f"x{i}")
+        if i % 2:
+            m, z = Name(f"m{i}"), Var(f"z{i}")
+            chans.append(m)
+            name_types.update({m: c, x: c, z: INT})
+            t = SOut((c,), t)
+            a = Output(s, (m,), Par(Output(m.dualized(), (Lit(i),), Inact()), a))
+            b = Input(s.dualized(), (x,), Par(Input(x, (z,), Inact()), b))
+        else:
+            name_types[x] = INT
+            t = SOut((INT,), t)
+            a = Output(s, (Lit(last if i == n - 2 else i),), a)
+            b = Input(s.dualized(), (x,), b)
+    p = Res(s, t, Par(a, b))
+    for m in chans:
+        p = Res(m, c, p)
+    return p, name_types
+
+
+def test_long_terms_compare_and_hash_without_recursion():
+    first, again = long_session(3000), long_session(3000)
+    assert first == again and hash(first) == hash(again)
+    far = long_session(3000, last=-1)
+    assert first != far and hash(first) != hash(far)
+    encoded = [encode_namepass(*delegation(2000, last)) for last in (0, 0, -1)]
+    assert encoded[0] == encoded[1] and hash(encoded[0]) == hash(encoded[1])
+    assert encoded[0] != encoded[2]
+
+
+def test_term_equality_compares_what_scope_does_not_list():
+    s, x = Name("s"), Var("x")
+    assert Select(s, "a", Inact()) != Select(s, "b", Inact())
+    assert Branch(s, (("a", Inact()),)) != Branch(s, (("b", Inact()),))
+    assert Res(s, END, Inact()) != Res(s, SOut((INT,), END), Inact())
+    assert Abs(((x, INT),), Inact()) != Abs(((x, BOOL),), Inact())
+    assert Abs(((x, INT),), Inact()) != Abs(((x, INT),), Inact(), shared=True)
+    # a literal's type counts, as in templates, though Lit(1) == Lit(True)
+    assert Output(s, (Lit(1),), Inact()) != Output(s, (Lit(True),), Inact())
+    # bound names count too, though templates, and so hashes, ignore them
+    renamed = Input(s, (Var("y"),), Inact())
+    assert Input(s, (x,), Inact()) != renamed
+    assert hash(Input(s, (x,), Inact())) == hash(renamed)
+    assert Inact() == Inact() and Inact() != s and Output(s, (x,), Inact()) != s
+    assert len({Inact(), Inact(), Par(Inact(), Inact())}) == 2

@@ -345,6 +345,18 @@ class TestRecursion:
         p = Input(s, (Var("f"),), Output(s, (Var("f"),), Inact()))
         bad(check_process(TypeEnvs(delta={s: loop}), p))
 
+    def test_a_label_holding_key_punctuation_is_one_label(self):
+        # rec t.+{"x:e,y": end} and rec t.+{x: end, y: end} are different
+        # types, though they once shared a key
+        ra = SRec("t", SSel((("x:e,y", END),)))
+        rb = SRec("t", SSel((("x", END), ("y", END))))
+        c, z = sname("c"), Var("z")
+        payload = Abs(((z, ra),), Select(z, "x:e,y", Inact()))
+        envs = TypeEnvs(delta={c: SOut((TArrow((rb,), False),), END)})
+        bad(check_process(envs, Output(c, (payload,), Inact())), "Val")
+        envs = TypeEnvs(delta={c: SOut((TArrow((ra,), False),), END)})
+        ok(check_process(envs, Output(c, (payload,), Inact())))
+
 
 class TestEncodedExample:
     # a channel name is delegated, then a boolean flows over it

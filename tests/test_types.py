@@ -11,6 +11,7 @@ from minsess.types import (
     SSel,
     SVar,
     TArrow,
+    TBase,
     TChan,
     TypeError_,
     balanced,
@@ -28,8 +29,10 @@ from minsess.types import (
     free_tvars,
     is_tail_recursive,
     rsdecomp,
+    remake,
     type_alpha_eq,
     unfold,
+    unfold_top,
 )
 from minsess.terms import Name, encode_nptype
 
@@ -291,6 +294,63 @@ def test_format_type_surface():
     assert format_type(SSel((("a", END),))) == "+{a: end}"
 
 
+# two pairs of loops that print alike: a label and a base name holding
+# key punctuation, against two labels and two parameters
+LABELLED = (SRec("t", SSel((("x:e,y", END),))), SRec("t", SSel((("x", END), ("y", END)))))
+BASE_NAMED = (
+    SRec("t", SIn((TArrow((TBase("Int,e"),), False),), SVar("t"))),
+    SRec("t", SIn((TArrow((INT, END), False),), SVar("t"))),
+)
+
+
+@pytest.mark.parametrize("pair", [LABELLED, BASE_NAMED], ids=["labels", "base-names"])
+def test_keys_separate_types_whose_names_hold_punctuation(pair):
+    t, u = pair
+    assert canon_key(t) != canon_key(u)
+    assert not type_alpha_eq(t, u)
+    assert not equal_types(t, u) and not equal_types(u, t)
+    assert t != u and equal_types(t, t) and equal_types(u, u)
+
+
+def test_keys_mark_names_that_print_like_syntax():
+    # a base named end, a free variable and a bound one each key apart
+    ends = [END, TBase("end"), SVar("end"), SRec("end", SOut((INT,), SVar("end")))]
+    assert len({canon_key(TArrow((c,), False)) for c in ends}) == len(ends)
+    assert canon_key(SRec("a", SOut((SVar("b"),), SVar("a")))) == "rec %0.!<@b>;%0"
+    assert canon_key(SSel((("go on", END),))) == "+{$5:go on: end}"
+    assert format_type(SSel((("go on", END),))) == "+{go on: end}"
+
+
+def test_equality_is_structural_and_hashes_by_key():
+    again = SRec("t", SIn((INT,), SIn((BOOL,), SOut((BOOL,), SVar("t")))))
+    assert LOOP == again and hash(LOOP) == hash(again)
+    renamed = SRec("u", SIn((INT,), SIn((BOOL,), SOut((BOOL,), SVar("u")))))
+    assert LOOP != renamed and equal_types(LOOP, renamed)
+    assert LOOP != unfold(LOOP) and equal_types(LOOP, unfold(LOOP))
+    assert END != INT and INT != "Int" and len({INT, TBase("Int"), BOOL}) == 2
+
+
+def test_remake_keeps_what_a_node_carries():
+    t = SOut((INT, BOOL), END)
+    assert remake(t, (BOOL, INT, LOOP)) == SOut((BOOL, INT), LOOP)
+    assert remake(t, (LOOP,), SIn) == SIn((INT, BOOL), LOOP)
+    arms = SSel((("a", END), ("b", END)))
+    assert remake(arms, (LOOP, END), SBra) == SBra((("a", LOOP), ("b", END)))
+    assert remake(TArrow((END,), True), (LOOP,)) == TArrow((LOOP,), True)
+    assert remake(INT, ()) is INT
+
+
+def test_unfold_top_strips_any_number_of_leading_binders():
+    # each unfolding strips one leading binder, since no body is a bare
+    # variable; a bound of 64 unfoldings used to reject this type
+    t = SOut((INT,), SVar("t0"))
+    for i in range(100):
+        t = SRec(f"t{i}", t)
+    head = unfold_top(t)
+    assert isinstance(head, SOut) and head.payload == (INT,)
+    assert equal_types(head, t) and equal_types(head.cont, t)
+
+
 def test_contractivity_enforced():
     with pytest.raises(TypeError_):
         SRec("t", SVar("t"))
@@ -300,10 +360,11 @@ LONG = 3000
 HO = TArrow((SOut((BOOL,), END),), shared=False)
 
 
-def long_protocol(var=None):
+def long_protocol(var=None, last=BOOL):
     """LONG prefixes cycling through an Int output, a higher-order input,
-    a binary selection whose other arm ends, and a Bool input, and the
-    dual built alongside; with var, messages only, closed by var."""
+    a binary selection whose other arm ends, and a Bool input, the last
+    one of type last, and the dual built alongside; with var, messages
+    only, closed by var."""
     t = d = END if var is None else SVar(var)
     for i in reversed(range(LONG)):
         kind = i % 4 if var is None else i % 2 * 3
@@ -314,7 +375,8 @@ def long_protocol(var=None):
         elif kind == 2:
             t, d = SSel((("go", t), ("stop", END))), SBra((("go", d), ("stop", END)))
         else:
-            t, d = SIn((BOOL,), t), SOut((BOOL,), d)
+            u = last if i == LONG - 1 else BOOL
+            t, d = SIn((u,), t), SOut((u,), d)
     return t, d
 
 
@@ -333,6 +395,15 @@ def test_type_queries_walk_long_protocols():
     first, second, sel = gdecomp(t)
     assert all(is_minimal(g) for g in (first, second, sel))
     assert format_type(sel).count("&{") == LONG // 4 - 1
+
+
+def test_long_types_compare_and_hash_without_recursion():
+    t, d = long_protocol()
+    again, _ = long_protocol()
+    assert t == again and hash(t) == hash(again) and t != d
+    # a difference at the far end: the last input reads an Int
+    near, _ = long_protocol(last=INT)
+    assert near != t and hash(near) != hash(t) and not equal_types(near, t)
 
 
 def test_repr_is_the_surface_syntax_of_long_protocols():
