@@ -371,10 +371,6 @@ def canonical_key(p) -> str:
     return "".join(f"nu n{k}.(" for k in number.values()) + body + ")" * len(number)
 
 
-def state_equal(p, q) -> bool:
-    return canonical_key(p) == canonical_key(q)
-
-
 # ---------------------------------------------------------------------------
 # Redexes
 # ---------------------------------------------------------------------------

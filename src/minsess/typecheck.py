@@ -547,18 +547,14 @@ def _result(
     return CheckResult(ok, leftover, diagnostics, checker.seen)
 
 
-def check_process(
-    envs: Optional[TypeEnvs],
-    p,
-    require_consumed: bool = True,
-) -> CheckResult:
-    """Typecheck a process; verdict ok iff a derivation exists (and, when
-    required, nothing linear is left unconsumed)."""
+def check_process(envs: Optional[TypeEnvs], p) -> CheckResult:
+    """Typecheck a process; verdict ok iff a derivation exists and nothing
+    linear is left unconsumed."""
     envs = envs or TypeEnvs()
-    return _derive(_Checker(envs.gamma), envs, p, require_consumed)
+    return _derive(_Checker(envs.gamma), envs, p)
 
 
-def _derive(ck: _Checker, envs: TypeEnvs, p, require_consumed: bool) -> CheckResult:
+def _derive(ck: _Checker, envs: TypeEnvs, p) -> CheckResult:
     for t in list(envs.gamma.values()) + list(envs.lam.values()) + list(envs.delta.values()):
         ck.see(((), "env"), t)
     lam, delta = dict(envs.lam), dict(envs.delta)
@@ -568,15 +564,14 @@ def _derive(ck: _Checker, envs: TypeEnvs, p, require_consumed: bool) -> CheckRes
     except CheckError as e:
         return _result(ck, envs.lam, envs.delta, [e.diagnostic()])
     diagnostics: list[Diagnostic] = []
-    if require_consumed:
-        if lam:
-            diagnostics.append(
-                Diagnostic((), "leftover", f"unconsumed linear values: {sorted(map(str, lam))}")
-            )
-        bad = {k: t for k, t in delta.items() if not _is_end(t)}
-        if bad:
-            msgs = ", ".join(f"{k} : {ty.format_type(t)}" for k, t in bad.items())
-            diagnostics.append(Diagnostic((), "leftover", f"unfinished sessions: {msgs}"))
+    if lam:
+        diagnostics.append(
+            Diagnostic((), "leftover", f"unconsumed linear values: {sorted(map(str, lam))}")
+        )
+    bad = {k: t for k, t in delta.items() if not _is_end(t)}
+    if bad:
+        msgs = ", ".join(f"{k} : {ty.format_type(t)}" for k, t in bad.items())
+        diagnostics.append(Diagnostic((), "leftover", f"unfinished sessions: {msgs}"))
     return _result(ck, lam, delta, diagnostics)
 
 
@@ -596,7 +591,7 @@ def check_minimal_typed(p, envs: Optional[TypeEnvs] = None) -> CheckResult:
     """check_process, plus: every type the derivation mentions is minimal."""
     envs = envs or TypeEnvs()
     ck = _Checker(envs.gamma, minimal=True)
-    result = _derive(ck, envs, p, True)
+    result = _derive(ck, envs, p)
     if result.ok and ck.non_minimal is not None:
         path, t = ck.non_minimal
         result.ok = False

@@ -415,11 +415,6 @@ def canon_key(t: AnyType) -> str:
     return _flatten(fold(t, _format_rule, bind, (0, {})))
 
 
-def type_alpha_eq(a: AnyType, b: AnyType) -> bool:
-    """Syntactic equality up to renaming of recursion binders."""
-    return canon_key(a) == canon_key(b)
-
-
 def _same(a: AnyType, b: AnyType, unfolding: bool) -> bool:
     """Whether a and b agree node by node, heads and children, on a
     worklist of pairs; with unfolding, up to unfolding and binder names.

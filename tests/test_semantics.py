@@ -38,7 +38,6 @@ from minsess.semantics import (
     explore,
     normalize,
     run,
-    state_equal,
 )
 from minsess.typecheck import check_process
 
@@ -167,7 +166,7 @@ class TestCanonicalKey:
             c = sname(base)
             return Res(c, SOut((U_SINK,), END), comm_pair(c))
 
-        assert state_equal(mk("a"), mk("b"))
+        assert canonical_key(mk("a")) == canonical_key(mk("b"))
 
     def test_alpha_invariance_of_binders(self):
         s = sname("s")
@@ -175,19 +174,18 @@ class TestCanonicalKey:
         def mk(v):
             return Input(s, (Var(v),), App(Var(v), (Lit(True),)))
 
-        assert state_equal(mk("x"), mk("y"))
+        assert canonical_key(mk("x")) == canonical_key(mk("y"))
 
     def test_free_names_distinguish(self):
-        assert not state_equal(
-            Output(sname("s"), (SINK,), Inact()),
-            Output(sname("r"), (SINK,), Inact()),
+        assert canonical_key(Output(sname("s"), (SINK,), Inact())) != canonical_key(
+            Output(sname("r"), (SINK,), Inact())
         )
 
     def test_types_do_not_distinguish_states(self):
         s = sname("s")
         p = Res(s, SOut((U_SINK,), END), comm_pair(s))
         q = Res(s, END, comm_pair(s))
-        assert state_equal(p, q)
+        assert canonical_key(p) == canonical_key(q)
 
 
 

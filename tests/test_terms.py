@@ -1,5 +1,9 @@
+from collections import Counter
+from dataclasses import fields
+
 import pytest
 
+from minsess import terms
 from minsess.terms import (
     Abs,
     App,
@@ -34,7 +38,7 @@ from minsess.terms import (
     trampoline,
     used_bases,
 )
-from minsess.types import BOOL, INT, SEnd, SIn, SOut, SRec, SVar, TArrow
+from minsess.types import BOOL, INT, SEnd, SIn, SOut, SRec, SVar, TArrow, canon_key
 
 END = SEnd()
 U_SH = TArrow((END,), shared=True)
@@ -401,6 +405,29 @@ def test_encode_namepass_shares_packages_of_equal_literals():
     assert third.payload != first.payload  # True is a Bool, not the Int 1
 
 
+def test_literals_compare_and_hash_by_type_and_value():
+    assert Lit(1) != Lit(True) and Lit(0) != Lit(False)
+    assert Lit(1) == Lit(1) and hash(Lit(True)) == hash(Lit(True))
+    assert len({Lit(1), Lit(True), Lit(1), Lit(0), Lit(False)}) == 4
+
+
+def test_encode_namepass_translates_each_type_once(monkeypatch):
+    # the carrier type ?<Int>;end of the delegated channels is also a
+    # payload type of s: one translation serves both
+    folds = Counter()
+    fold = terms.fold
+
+    def counted(t, rule, *args, **kwargs):
+        if rule is terms._np_rule:
+            folds[canon_key(t)] += 1
+        return fold(t, rule, *args, **kwargs)
+
+    monkeypatch.setattr(terms, "fold", counted)
+    encode_namepass(*delegation(6))
+    assert folds[canon_key(SIn((INT,), END))] == 1
+    assert set(folds.values()) == {1}
+
+
 def test_trampoline_tails_release_their_step():
     # count down 100,000 steps: each ends in a tail whose `then` adds one,
     # and every fifth also yields a sub-step first
@@ -474,7 +501,7 @@ def test_term_equality_compares_what_scope_does_not_list():
     assert Res(s, END, Inact()) != Res(s, SOut((INT,), END), Inact())
     assert Abs(((x, INT),), Inact()) != Abs(((x, BOOL),), Inact())
     assert Abs(((x, INT),), Inact()) != Abs(((x, INT),), Inact(), shared=True)
-    # a literal's type counts, as in templates, though Lit(1) == Lit(True)
+    # a literal's type counts, as in templates
     assert Output(s, (Lit(1),), Inact()) != Output(s, (Lit(True),), Inact())
     # bound names count too, though templates, and so hashes, ignore them
     renamed = Input(s, (Var("y"),), Inact())
@@ -482,3 +509,39 @@ def test_term_equality_compares_what_scope_does_not_list():
     assert hash(Input(s, (x,), Inact())) == hash(renamed)
     assert Inact() == Inact() and Inact() != s and Output(s, (x,), Inact()) != s
     assert len({Inact(), Inact(), Par(Inact(), Inact())}) == 2
+
+
+def _one_of_each_node():
+    s, x, y = Name("s"), Var("x"), Var("y")
+    body = Output(s, (Lit(True), x), Inact())
+    return [
+        Inact(),
+        Output(s, (Lit(1), x, Abs(((y, INT),), Inact())), Inact()),
+        Input(s, (x, y), body),
+        Select(s, "right", body),
+        Branch(s, (("left", Inact()), ("right", body))),
+        App(x, (s, Lit(True))),
+        App(y, ()),
+        Par(body, Inact()),
+        Res(Name("r"), SOut((BOOL,), END), body),
+        Res(Name("a", kind="shared"), U_SH, body),
+        Abs(((x, INT), (y, SIn((BOOL,), END))), body, shared=True),
+    ]
+
+
+@pytest.mark.parametrize("node", _one_of_each_node(), ids=lambda t: type(t).__name__)
+def test_a_node_rebuilt_from_its_row_is_the_node(node):
+    scope, head, make = terms._NODES[node.__class__]
+    kids, bound_names, bound_vars = scope(node)
+    again = make(head(node), bound_names or bound_vars, *kids)
+    assert again == node
+    # field by field too, so a head that drops what a node carries fails
+    # even though `==` compares heads
+    assert [getattr(again, f.name) for f in fields(node)] == [getattr(node, f.name) for f in fields(node)]
+
+
+def test_every_term_class_has_a_row():
+    # a slotted dataclass replaces the class it decorates, which lingers
+    # among the subclasses until it is collected
+    classes = {c for c in terms._Term.__subclasses__() if getattr(terms, c.__name__) is c}
+    assert classes == set(terms._NODES) == {type(t) for t in _one_of_each_node()}

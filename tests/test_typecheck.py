@@ -79,9 +79,8 @@ class TestBasics:
     def test_inact_leftover_session(self):
         s = sname("s")
         envs = TypeEnvs(delta={s: SOut((U_SINK,), END)})
-        bad(check_process(envs, Inact()), "leftover")
-        res = check_process(envs, Inact(), require_consumed=False)
-        assert res.ok and s in res.leftover.delta
+        res = bad(check_process(envs, Inact()), "leftover")
+        assert s in res.leftover.delta
 
     def test_unknown_subject(self):
         bad(check_process(None, Output(sname("s"), (Lit(True),), Inact())), "Subj")
