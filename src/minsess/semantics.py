@@ -72,7 +72,6 @@ from .terms import (
     Rendering,
     Res,
     Select,
-    Subst,
     free_names,
     iter_subterms,
     parallel,
@@ -248,7 +247,7 @@ def _normalize(soup: _Soup) -> _Soup:
                 claims = _Claims(soup)
             fresh = claims.fresh(b)
             if fresh is not None:
-                body = substitute(body, Subst.rename_channel(b, fresh), memo)
+                body = substitute(body, tm.rename_channel(b, fresh), memo)
                 b = fresh
             binders[b] = t.annot
             claimed.append(b)
@@ -307,7 +306,7 @@ class _Claims:
             top = _top_reserved([*soup.binders, *soup.raw])
             self.next_reserved = 1 + max([top, *(c.reserved() for c in soup.comps)])
         self.next_reserved += 1
-        return Name(tm.RESERVED_PREFIX, self.next_reserved - 1, False, "session")
+        return tm.prop_name(self.next_reserved - 1)
 
 
 def _spine_free(raw: tuple, memo: Memo) -> set:
@@ -501,12 +500,10 @@ def _produce(r: Redex, gone: tuple, memo: Memo) -> tuple:
         f: Abs = a.fun
         if len(f.params) != len(a.args):
             raise SemanticsError("application arity mismatch")
-        sub = Subst.of_vars({x: v for (x, _), v in zip(f.params, a.args)})
-        return (substitute(f.body, sub, memo),)
+        return (substitute(f.body, {x: v for (x, _), v in zip(f.params, a.args)}, memo),)
     out_c, in_c = gone[0].term, gone[1].term
     if r.kind == "comm":
-        sub = Subst.of_vars(dict(zip(in_c.binders, out_c.payload)))
-        return (out_c.cont, substitute(in_c.cont, sub, memo))
+        return (out_c.cont, substitute(in_c.cont, dict(zip(in_c.binders, out_c.payload)), memo))
     return (out_c.cont, in_c.branch(r.label))
 
 

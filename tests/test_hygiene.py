@@ -1,10 +1,11 @@
 """Source hygiene of the `minsess` package: no dead private helpers, no
-unused imports and no state that outlives a call.
+dangling entry points, no unused imports and no state that outlives a call.
 
 A module-level function or class with a single leading underscore must be
-referenced somewhere in the package outside its own definition, and every
-name a module imports at top level must be used in that module. Dunder
-names are exempt. What a module binds at top level is never mutated, and
+referenced somewhere in the package outside its own definition, a public
+one somewhere in the package, its tests or the benchmark, and every name a
+module imports at top level must be used in that module. Dunder names are
+exempt. What a module binds at top level is never mutated, and
 nothing is memoized by `functools`: every cache belongs to one call.
 """
 
@@ -13,9 +14,16 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "minsess"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "minsess"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+# every file that may use the package: the package itself, its tests and
+# the benchmark, keyed by path
+USERS = {
+    path: ast.parse(path.read_text(), str(path))
+    for folder in ("src", "tests", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))
+}
 
 
 def _is_dunder(name: str) -> bool:
@@ -31,14 +39,34 @@ def _references(tree: ast.AST):
             yield node.attr, node.lineno
 
 
-def _private_definitions():
+def _uses(trees: dict) -> dict:
+    """identifier -> (file, line) of each of its occurrences in trees."""
+    uses: dict = {}
+    for where, tree in trees.items():
+        for name, line in _references(tree):
+            uses.setdefault(name, []).append((where, line))
+    return uses
+
+
+PACKAGE_USES = _uses(TREES)
+ALL_USES = _uses(USERS)
+
+
+def _definitions(private: bool):
+    """(module, node) for each top-level function or class of the package
+    whose name has a single leading underscore, or none."""
     for module, tree in TREES.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__") and name.startswith("_") == private:
                 yield module, node
+
+
+def _used_elsewhere(node, uses: list, own) -> bool:
+    lines = range(node.lineno, node.end_lineno + 1)
+    return any(not (where == own and line in lines) for where, line in uses)
 
 
 def _imported_names(tree: ast.Module):
@@ -52,15 +80,18 @@ def _imported_names(tree: ast.Module):
                     yield bound, node.lineno
 
 
-@pytest.mark.parametrize("module,node", list(_private_definitions()),
+@pytest.mark.parametrize("module,node", list(_definitions(private=True)),
                          ids=lambda x: x if isinstance(x, str) else x.name)
 def test_private_helpers_are_referenced(module, node):
-    own = range(node.lineno, node.end_lineno + 1)
-    for other, tree in TREES.items():
-        for name, line in _references(tree):
-            if name == node.name and not (other == module and line in own):
-                return
-    pytest.fail(f"{module}: {node.name} is defined but never referenced")
+    if not _used_elsewhere(node, PACKAGE_USES.get(node.name, []), module):
+        pytest.fail(f"{module}: {node.name} is defined but never referenced")
+
+
+@pytest.mark.parametrize("module,node", list(_definitions(private=False)),
+                         ids=lambda x: x if isinstance(x, str) else x.name)
+def test_public_definitions_are_referenced(module, node):
+    if not _used_elsewhere(node, ALL_USES.get(node.name, []), PACKAGE / module):
+        pytest.fail(f"{module}: {node.name} is defined but never referenced in src, tests or perfbench")
 
 
 @pytest.mark.parametrize("module", list(TREES))

@@ -49,7 +49,6 @@ from minsess.terms import (
     Par,
     Res,
     Select,
-    Subst,
     Var,
     alpha_eq,
     free_names,
@@ -285,7 +284,7 @@ def test_reached_states_are_normal_and_well_typed(p):
 @given(protocols, st.permutations(FRESH))
 def test_alpha_variants_and_identity_substitution_are_alpha_equal(p, fresh):
     assert alpha_eq(p, alpha(p, iter(fresh), names=True))
-    assert alpha_eq(substitute(p, Subst()), p)
+    assert alpha_eq(substitute(p, {}), p)
 
 
 M = sname("m")
@@ -331,7 +330,7 @@ def capturing_substitutions(draw):
         Var("w"): draw(st.sampled_from((n, n.dualized(), Var("x")))),
         Var(draw(st.sampled_from(("x'", "y'", "b'")))): Lit(2),
     }
-    return Subst(tuple(vmap.items()), ((M, n), (M.dualized(), n.dualized())))
+    return {**vmap, M: n, M.dualized(): n.dualized()}
 
 
 def free(t) -> set:
@@ -344,7 +343,7 @@ def test_substitution_avoids_capture(p, sigma, fresh):
     q = Par(leak(), planted(p))
     got = substitute(q, sigma)
     assert alpha_eq(got, substitute(alpha(q, iter(fresh)), sigma))
-    images = dict(sigma.var_map + sigma.name_map)
+    images = dict(sigma)
     want = free(q) - set(images)
     for x in free(q) & set(images):
         want |= free(images[x])

@@ -24,11 +24,11 @@ from minsess.terms import (
     Par,
     Res,
     Select,
-    Subst,
     Var,
     alpha_eq,
     free_names,
     parallel,
+    rename_channel,
     substitute,
 )
 from minsess.types import INT, SBra, SEnd, SIn, SOut, SSel, TArrow
@@ -116,7 +116,7 @@ def test_long_chains_key_normalize_compare_and_substitute():
     assert canonical_key(normalize(q)) == key
     assert alpha_eq(p, chain(1500, binder="y"))
     assert not alpha_eq(p, chain(1499))
-    renamed = substitute(p, Subst.rename_channel(s, r))
+    renamed = substitute(p, rename_channel(s, r))
     assert free_names(renamed) == [r, r.dualized()]
     assert canonical_key(Res(r, SOut((INT,), END), renamed)) == key
 

@@ -17,7 +17,6 @@ from minsess.terms import (
     Par,
     Res,
     Select,
-    Subst,
     TermError,
     Var,
     alpha_eq,
@@ -32,6 +31,7 @@ from minsess.terms import (
     is_reserved,
     prop_name,
     rec_server_name,
+    rename_channel,
     substitute,
     Tail,
     template,
@@ -116,13 +116,13 @@ def test_init_subst_polarity_preserving():
 def test_substitute_variable_for_value():
     x, u = Var("x"), Name("u", 1)
     v = Abs(((Var("z"), END),), Inact(), shared=False)
-    assert substitute(App(x, (u,)), Subst.of_vars({x: v})) == App(v, (u,))
+    assert substitute(App(x, (u,)), {x: v}) == App(v, (u,))
 
 
 def test_substitute_index_shift():
     u1, u2 = Name("u", 1), Name("u", 2)
     p = Output(u1, (Var("y"),), Input(u1, (Var("z"),), Inact()))
-    got = substitute(p, Subst.of_names({u1: u2}))
+    got = substitute(p, {u1: u2})
     assert got == Output(u2, (Var("y"),), Input(u2, (Var("z"),), Inact()))
 
 
@@ -130,7 +130,7 @@ def test_substitute_avoids_capture():
     x, y, u = Var("x"), Var("y"), Name("u", 1)
     # u?(y). x (y)  with x := y  must not capture the binder
     p = Input(u, (y,), App(x, (y,)))
-    got = substitute(p, Subst.of_vars({x: y}))
+    got = substitute(p, {x: y})
     assert isinstance(got, Input)
     binder = got.binders[0]
     assert binder != y
@@ -142,7 +142,7 @@ def test_substitute_input_binder_shadows():
     v = Abs(((Var("z"), END),), Inact(), shared=False)
     # u?(x). x (u)  with x := v : the binder shadows x, nothing changes
     p = Input(u, (x,), App(x, (u,)))
-    assert substitute(p, Subst.of_vars({x: v})) == p
+    assert substitute(p, {x: v}) == p
 
 
 def test_substitute_input_shadows_and_renames():
@@ -150,7 +150,7 @@ def test_substitute_input_shadows_and_renames():
     v = Abs(((Var("z"), BOOL),), Inact(), shared=False)
     # u?(x, y). (x true | w y)  with x := v, w := y : x is shadowed, y renamed
     p = Input(u, (x, y), Par(App(x, (Lit(True),)), App(w, (y,))))
-    got = substitute(p, Subst.of_vars({x: v, w: y}))
+    got = substitute(p, {x: v, w: y})
     assert got.binders[0] == x
     y2 = got.binders[1]
     assert y2 != y
@@ -162,14 +162,14 @@ def test_substitute_index_shift_through_abs_input():
     z, y = Var("z"), Var("y")
     body = Input(u1, (y,), App(y, (u1,)))
     v = Abs(((z, END),), body, shared=False)
-    got = substitute(v, Subst.of_names({u1: u2}))
+    got = substitute(v, {u1: u2})
     assert got == Abs(((z, END),), Input(u2, (y,), App(y, (u2,))), shared=False)
 
 
 def test_substitute_name_into_subject():
     x, u = Var("x"), Name("u", 1)
     p = Output(x, (Lit(0),), Inact())
-    got = substitute(p, Subst.of_vars({x: u}))
+    got = substitute(p, {x: u})
     assert got == Output(u, (Lit(0),), Inact())
 
 
@@ -177,7 +177,7 @@ def test_a_renamed_binder_is_not_substituted_again():
     # the capturing binder y is renamed to y', which sigma also maps: the
     # renaming and sigma apply at once, so y' stays bound
     s, x, y, y1 = Name("s"), Var("x"), Var("y"), Var("y'")
-    got = substitute(Input(s, (y,), Output(s, (x, y), Inact())), Subst.of_vars({x: y, y1: Lit(5)}))
+    got = substitute(Input(s, (y,), Output(s, (x, y), Inact())), {x: y, y1: Lit(5)})
     assert got == Input(s, (y1,), Output(s, (y, y1), Inact()))
 
 
@@ -185,12 +185,12 @@ def test_substitute_rejects_name_in_payload():
     x, u = Var("x"), Name("u", 1)
     p = Output(Name("n", 1), (x,), Inact())
     with pytest.raises(TermError):
-        substitute(p, Subst.of_vars({x: u}))
+        substitute(p, {x: u})
 
 
 def test_rename_channel_covers_both_ends():
     s, t = Name("s"), Name("t")
-    sigma = Subst.rename_channel(s, t)
+    sigma = rename_channel(s, t)
     p = Par(Output(s, (Lit(1),), Inact()), Input(s.dualized(), (Var("x"),), Inact()))
     got = substitute(p, sigma)
     assert free_names(got) == [t, t.dualized()]
@@ -204,8 +204,15 @@ def test_iter_subterms_preorder_with_subjects_args_and_binders():
     assert list(iter_subterms(p)) == [
         p, prop_name(2), p.body,
         out, s, Lit(1), Inact(),
-        p.body.right, s.dualized(), app, f, prop_name(4),
+        p.body.right, s.dualized(), x, app, f, prop_name(4),
     ]
+
+
+def test_used_bases_include_binders_that_never_occur():
+    s, x, z = Name("s"), Var("x"), Var("z")
+    p = Res(s, SIn((INT,), END), Input(s, (x,), App(Abs(((z, END),), Inact()), (s.dualized(),))))
+    assert list(iter_subterms(p.body.cont.fun)) == [p.body.cont.fun, z, Inact()]
+    assert used_bases(p) == {"s", "x", "z"}
 
 
 def test_iter_subterms_walks_long_continuations():
@@ -273,7 +280,7 @@ def test_alpha_eq_renames_recursion_binders_in_annotations():
 def test_substitute_identity_is_alpha_id():
     u = Name("u", 1)
     p = Input(u, (Var("x"),), App(Var("x"), (u,)))
-    assert alpha_eq(substitute(p, Subst()), p)
+    assert alpha_eq(substitute(p, {}), p)
 
 
 def test_encode_nptype():

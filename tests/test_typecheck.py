@@ -328,6 +328,34 @@ class TestApplication:
         envs = TypeEnvs(gamma={Var("n"): INT})
         bad(check_process(envs, App(Var("n"), (Lit(1),))), "App")
 
+    @pytest.mark.parametrize("gamma,error", [
+        (INT, None),
+        (BOOL, "[App] at arg/0: a : chan Bool against parameter chan Int"),
+        (None, "[App] at arg/0: unknown argument a"),
+    ], ids=["matching", "mismatched", "unknown"])
+    def test_shared_name_arg(self, gamma, error):
+        a = shname("a")
+        envs = TypeEnvs(gamma={} if gamma is None else {a: TChan(gamma)})
+        v = Abs(((Var("x"), TChan(INT)),), Inact())
+        assert check_process(envs, App(v, (a,))).first_error() == error
+
+
+class TestValues:
+    @pytest.mark.parametrize("envs,error", [
+        (TypeEnvs(gamma={Var("v"): TChan(INT)}, delta={sname("s"): SOut((INT,), END)}),
+         "[Var] at payload/0: channel v used as a value"),
+        (TypeEnvs(delta={sname("s"): SOut((INT,), END), Var("v"): SIn((INT,), END)}),
+         "[Var] at payload/0: session channel v used as a value"),
+    ], ids=["shared", "session"])
+    def test_channel_variables_are_not_values(self, envs, error):
+        result = check_process(envs, Output(sname("s"), (Var("v"),), Inact()))
+        assert bad(result, "Var").first_error() == error
+
+    def test_names_are_not_values(self):
+        vtype, result = check_value(None, shname("a"))
+        assert vtype is None
+        assert bad(result, "Val").first_error() == "[Val] at top: names are not values: a"
+
 
 class TestRecursion:
     def test_unfold_at_prefix_and_handoff(self):

@@ -281,6 +281,16 @@ def test_equal_types_unfolding():
     assert equal_types(SRec("a", SIn((INT,), SVar("a"))), SRec("b", SIn((INT,), SVar("b"))))
 
 
+def test_unfold_renames_a_binder_that_would_capture():
+    # unfolding puts T under `rec b`, where T's free b would be captured
+    t = SRec("a", SSel((("l", SVar("b")), ("r", SRec("b", SIn((INT,), SVar("a")))))))
+    once = unfold(t)
+    assert format_type(once) == "+{l: b, r: rec b'.?<Int>;rec a.+{l: b, r: rec b.?<Int>;a}}"
+    assert free_tvars(once) == {"b"}
+    u = SRec("b", SOut((INT,), t))
+    assert equal_types(u, unfold(u))
+
+
 def test_type_alpha_eq_binders():
     assert canon_key(SRec("a", SIn((INT,), SVar("a")))) == canon_key(SRec("b", SIn((INT,), SVar("b"))))
     assert canon_key(LOOP) != canon_key(unfold(LOOP))
