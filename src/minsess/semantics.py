@@ -72,11 +72,11 @@ from .terms import (
     Rendering,
     Res,
     Select,
+    Var,
     free_names,
     iter_subterms,
     parallel,
     substitute,
-    used_bases,
 )
 from .types import SBra, SIn, SOut, SRec, SSel, unfold_top
 
@@ -92,15 +92,6 @@ class SemanticsError(Exception):
 
 def _positive(n: Name) -> Name:
     return n.dualized() if n.dual else n
-
-
-def _top_reserved(ts) -> int:
-    """Largest index of a reserved "#" name anywhere in the terms ts, free
-    or bound."""
-    return max(
-        (x.index or 0 for t in ts for x in iter_subterms(t) if tm.is_prop(x)),
-        default=0,
-    )
 
 
 class _Comp:
@@ -119,7 +110,7 @@ class _Comp:
     with that partner made, when they can be reused in every state where
     the redex fires (see `_normalize`); the partner is None for a beta."""
 
-    __slots__ = ("term", "names", "slots", "fired", "_memo", "_key", "_literal", "_reserved")
+    __slots__ = ("term", "names", "slots", "fired", "_memo", "_key", "_literal")
 
     def __init__(self, term, memo: Memo) -> None:
         self.term = term
@@ -129,7 +120,6 @@ class _Comp:
         self._memo = memo
         self._key: Optional[Rendering] = None
         self._literal: Optional[Rendering] = None
-        self._reserved: Optional[int] = None
 
     def key(self) -> Rendering:
         if self._key is None:
@@ -151,11 +141,6 @@ class _Comp:
         if less is None:
             less = self.literal().less(other.literal())
         return bool(less)
-
-    def reserved(self) -> int:
-        if self._reserved is None:
-            self._reserved = _top_reserved((self.term,))
-        return self._reserved
 
 
 class _Soup:
@@ -225,10 +210,7 @@ def _normalize(soup: _Soup) -> _Soup:
     the components the redex consumed, and so are their hoisted ones, the
     slots. Such components are recorded under the soup's `source`, and
     the redex reuses them wherever it fires again."""
-    raw = soup.raw
-    if raw is None:
-        return soup
-    memo = soup.memo
+    raw, memo = soup.raw, soup.memo
     binders, kept, counts = soup.binders, soup.comps, soup.counts
     claims: Optional[_Claims] = None
     new: list = []
@@ -280,31 +262,33 @@ def _normalize(soup: _Soup) -> _Soup:
 class _Claims:
     """Fresh binders for the raw restrictions of one normalization that
     collide with a binder, a free name of the state or a free name of the
-    raw terms; made at the first raw restriction. The identifiers in use
-    and the reserved indices of the state are gathered only when a binder
-    collides."""
+    raw terms; made at the first raw restriction. At the first collision
+    one walk over the binders, the kept components and the raw terms
+    gathers the identifiers in use and the top reserved index."""
 
     def __init__(self, soup: _Soup) -> None:
-        binders, kept, raw = soup.binders, soup.comps, soup.raw
         self.soup = soup
-        self.raw_free = _spine_free(raw, soup.memo)
-        self.next_reserved: Optional[int] = None
-        self.supply = NameSupply(
-            lambda: {n.base for n in binders}.union(
-                *(used_bases(c.term) for c in kept), *(used_bases(t) for t in raw)
-            )
-        )
+        self.raw_free = _spine_free(soup.raw, soup.memo)
+        self.supply: Optional[NameSupply] = None
+        self.next_reserved = 0
 
     def fresh(self, b: Name) -> Optional[Name]:
         """b's new name if it collides, else None."""
         soup = self.soup
         if b not in soup.binders and b not in soup.counts and b not in self.raw_free:
             return None
+        if self.supply is None:
+            bases, top = set(), 0
+            for t in (*soup.binders, *(c.term for c in soup.comps), *soup.raw):
+                for x in iter_subterms(t):
+                    if x.__class__ is Name or x.__class__ is Var:
+                        bases.add(x.base)
+                        if tm.is_prop(x):
+                            top = max(top, x.index or 0)
+            self.supply = NameSupply(lambda: bases)
+            self.next_reserved = top + 1
         if b.base != tm.RESERVED_PREFIX:
             return Name(self.supply.fresh(b.base), b.index, False, b.kind)
-        if self.next_reserved is None:
-            top = _top_reserved([*soup.binders, *soup.raw])
-            self.next_reserved = 1 + max([top, *(c.reserved() for c in soup.comps)])
         self.next_reserved += 1
         return tm.prop_name(self.next_reserved - 1)
 
@@ -338,7 +322,8 @@ def _spine_free(raw: tuple, memo: Memo) -> set:
 
 def normalize(p):
     """Restriction-prefixed sorted soup; idempotent. A term gives a term; a
-    `_Soup` gives a `_Soup` that reuses the components it already has."""
+    pending `_Soup`, one that `_as_soup` or `_fire` made, gives the normal
+    `_Soup` that reuses the components it already has."""
     if isinstance(p, _Soup):
         return _normalize(p)
     return _as_soup(p).term()
@@ -513,7 +498,12 @@ class _Redexes:
     senders and receivers by the positive endpoint of their subject (the
     first of their names), betas, and the subjects with a matching pair.
     `first` gives the redex `min(enabled(soup), key=_det_rank)` would,
-    looking up positions only for the ready pairs and the betas."""
+    looking up positions only for the ready pairs and the betas.
+
+    `enabled` keeps its own scan of the state: built from a fresh
+    `_Redexes`, it takes 19.5-22.7 us per state instead of 9.1-9.7 us over
+    the 4,752 states of the seeds 1-2 `explore` pools, about 0.5 ms more
+    per operation."""
 
     def __init__(self, comps: list) -> None:
         self.senders: dict = {}
@@ -559,18 +549,17 @@ class _Redexes:
                     yield c, d
 
     def first(self, comps: list) -> Optional[Redex]:
-        """The policy's pick among the leftmost beta and the ready pairs."""
-        candidates = []
+        """The policy's pick among the ready pairs and the betas."""
+        return min(self._candidates(comps), key=_det_rank, default=None)
+
+    def _candidates(self, comps: list):
         for n in self.ready:
             for c, d in self._pairs(n):
                 i, j, out = comps.index(c), comps.index(d), c.term
-                if out.__class__ is Output:
-                    candidates.append(Redex("comm", i, j, n))
-                else:
-                    candidates.append(Redex("select", i, j, n, out.label))
-        if self.betas:
-            candidates.append(Redex("beta", min(comps.index(c) for c in self.betas)))
-        return min(candidates, key=_det_rank, default=None)
+                yield Redex("comm", i, j, n) if out.__class__ is Output else \
+                    Redex("select", i, j, n, out.label)
+        for c in self.betas:
+            yield Redex("beta", comps.index(c))
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +590,6 @@ class Trace:
     final: object
     status: str  # "inert" | "stuck" | "fuel"
     stats: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 def _terminal_status(soup: _Soup) -> str:

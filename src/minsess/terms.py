@@ -112,9 +112,9 @@ class Var:
         return self.base if self.index is None else f"{self.base}_{self.index}"
 
 
-def prop_name(k: int, dual: bool = False) -> Name:
+def prop_name(k: int) -> Name:
     """The k-th sequencing channel of a decomposition."""
-    return Name(RESERVED_PREFIX, k, dual, "session")
+    return Name(RESERVED_PREFIX, k, False, "session")
 
 
 def is_prop(n: object) -> bool:
@@ -170,7 +170,7 @@ class _Term:
         return True
 
     def __hash__(self) -> int:
-        return hash(template(self, ())[0])
+        return hash(template(self)[0])
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -468,8 +468,8 @@ def free_names(term: Union[Process, Value], memo: Optional[Memo] = None) -> list
     return list(_fv(term, memo or Memo())[0])
 
 
-def free_vars(term: Union[Process, Value], memo: Optional[Memo] = None) -> list[Var]:
-    return list(_fv(term, memo or Memo())[1])
+def free_vars(term: Union[Process, Value]) -> list[Var]:
+    return list(_fv(term, Memo())[1])
 
 
 def used_bases(term: Union[Process, Value]) -> set[str]:
@@ -639,7 +639,7 @@ def _rebind(bound: tuple, body, sigma: Mapping, supply: NameSupply, memo: Memo):
 # ---------------------------------------------------------------------------
 
 
-def _tokens(t, slots: tuple, out: list, stats: Counter, quota: int = 1):
+def _tokens(t, slots: tuple, out: list, stats: Counter, quota: int):
     """Render t into out on an explicit stack, in steps of quota, twice
     that, and so on, nodes, so a rendering stopped early has done at most
     twice the work needed and a completed one took few steps; returns the
@@ -797,12 +797,12 @@ class Rendering:
 
     __slots__ = ("tokens", "slots", "binders", "stats", "_steps", "_text", "_seen", "_fmt")
 
-    def __init__(self, t, slots: tuple = (), memo: Optional[Memo] = None) -> None:
+    def __init__(self, t, slots: tuple, memo: Memo) -> None:
         self.tokens: list = []
         self.slots = slots
         self.binders = 0  # known once the rendering is complete
-        self.stats = Counter() if memo is None else memo.stats
-        size = _WHOLE + 1 if memo is None else _fv(t, memo)[2]
+        self.stats = memo.stats
+        size = _fv(t, memo)[2]
         quota = size + 1 if size <= _WHOLE else 1
         self._steps: Optional[Generator] = _tokens(t, slots, self.tokens, self.stats, quota)
         self._text = ""  # the text of the first _seen tokens
@@ -873,11 +873,10 @@ class Rendering:
                 return a < b
 
 
-def template(t, slots: tuple) -> tuple[str, int]:
+def template(t) -> tuple[str, int]:
     """Alpha-invariant, type-erased rendering of t as a `str.format`
-    template over slots (see `_tokens`), and the number of binders it
-    registers."""
-    r = Rendering(t, slots)
+    template (see `_tokens`), and the number of binders it registers."""
+    r = Rendering(t, (), Memo())
     return r.fmt(), r.binders
 
 
@@ -895,7 +894,7 @@ def alpha_eq(a, b) -> bool:
             for c in _NODES[x.__class__][1](x)[1]
         ]
 
-    return template(a, ()) == template(b, ()) and annots(a) == annots(b)
+    return template(a) == template(b) and annots(a) == annots(b)
 
 
 # ---------------------------------------------------------------------------

@@ -589,13 +589,18 @@ def envdecomp(env: Mapping) -> dict:
     return out
 
 
+def _partner(key, delta: Mapping):
+    """The other endpoint of the session name key if delta holds it, else
+    None: a variable, a shared name or a lone endpoint has no partner."""
+    partner = key.dualized() if getattr(key, "kind", None) == "session" else None
+    return partner if partner in delta else None
+
+
 def balanced(delta: Mapping) -> bool:
     """Co-located endpoints must carry mutually dual protocols."""
     for key, t in delta.items():
-        partner = key.dualized()
-        if partner == key or partner not in delta:
-            continue
-        if not equal_types(dual(t), delta[partner]):
+        partner = _partner(key, delta)
+        if partner is not None and not equal_types(dual(t), delta[partner]):
             return False
     return True
 
@@ -606,10 +611,10 @@ def env_step(delta: Mapping) -> list[dict]:
     out: list[dict] = []
     seen_pairs: set = set()
     for key, t in delta.items():
-        partner = key.dualized()
-        if partner == key or partner not in delta:
+        partner = _partner(key, delta)
+        if partner is None:
             continue
-        pair = (key, partner) if not getattr(key, "dual", False) else (partner, key)
+        pair = (key, partner) if not key.dual else (partner, key)
         if pair in seen_pairs:
             continue
         seen_pairs.add(pair)

@@ -5,8 +5,10 @@ A module-level function or class with a single leading underscore must be
 referenced somewhere in the package outside its own definition, a public
 one somewhere in the package, its tests or the benchmark, and every name a
 module imports at top level must be used in that module. Dunder names are
-exempt. What a module binds at top level is never mutated, and
-nothing is memoized by `functools`: every cache belongs to one call.
+exempt. A parameter with a default is an option: some call must set it
+and some other call must leave it out. What a module binds at top level
+is never mutated, and nothing is memoized by `functools`: every cache
+belongs to one call.
 """
 
 import ast
@@ -92,6 +94,67 @@ def test_private_helpers_are_referenced(module, node):
 def test_public_definitions_are_referenced(module, node):
     if not _used_elsewhere(node, ALL_USES.get(node.name, []), PACKAGE / module):
         pytest.fail(f"{module}: {node.name} is defined but never referenced in src, tests or perfbench")
+
+
+def _defaults():
+    """(module, callee, parameter, position) for each parameter with a
+    default of a top-level function or method of the package. A method is
+    called by its name and `__init__` by its class's, as `C(...)`; the
+    position is the parameter's index among a call's positional
+    arguments, None for a keyword-only one."""
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node, node.name, 0)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [(f, node.name if f.name == "__init__" else f.name, 1)
+                             for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            for f, callee, implicit in functions:
+                a = f.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for k in range(first, len(positional)):
+                    yield module, callee, positional[k].arg, k - implicit
+                for p, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield module, callee, p.arg, None
+
+
+def _calls(trees: dict) -> dict:
+    """callee name -> every call of a name or an attribute by that name in
+    trees."""
+    calls: dict = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+ALL_CALLS = _calls(USERS)
+DEFAULTS = list(_defaults())
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    """Whether call may set param: by keyword, by position, or through an
+    unpacked argument."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+@pytest.mark.parametrize("module,callee,param,position", DEFAULTS,
+                         ids=[f"{m}-{c}-{p}" for m, c, p, _ in DEFAULTS])
+def test_every_default_is_both_taken_and_overridden(module, callee, param, position):
+    calls = ALL_CALLS.get(callee, [])
+    setting = sum(_passes(c, param, position) for c in calls)
+    assert setting, f"{module}: no call of {callee} sets {param}; make it a constant"
+    assert setting < len(calls), f"{module}: every call of {callee} sets {param}; drop its default"
 
 
 @pytest.mark.parametrize("module", list(TREES))

@@ -32,6 +32,7 @@ from minsess.types import (
 )
 from minsess.semantics import (
     Redex,
+    SemanticsError,
     apply_redex,
     canonical_key,
     enabled,
@@ -113,6 +114,17 @@ class TestNormalize:
             Input(g.dualized(), (Var("x"),), Inact()), Output(sname("g'"), (SINK,), Inact())
         ))
         assert t.status == "inert" and not enabled(t.final)
+
+    def test_a_released_reserved_binder_moves_above_the_kept_components(self):
+        # #_5 is bound only inside a component the beta keeps: the #_1 it
+        # releases clashes with the free ~#_1 and must move above #_5
+        c1, c5 = prop_name(1), prop_name(5)
+        one = SOut((U_SINK,), END)
+        kept = Input(sname("h"), (Var("y"),), Res(c5, one, Output(c5, (SINK,), Inact())))
+        release = App(Abs(((Var("z"), BOOL),), Res(c1, one, Output(c1, (SINK,), Inact()))), (Lit(True),))
+        p = parallel([Input(c1.dualized(), (Var("x"),), Inact()), kept, release])
+        q = run(p, fuel=1).steps[0].term
+        assert isinstance(q, Res) and q.binder == prop_name(6)
 
     def test_clashing_reserved_binders_take_the_next_free_indices(self):
         c1, c4 = prop_name(1), prop_name(4)
@@ -332,6 +344,29 @@ class TestStepping:
         assert q.annot == SOut((U_SINK,), END)
         t = run(q, fuel=10)
         assert t.status == "inert" and len(t.steps) == 1
+
+    def test_one_endpoint_does_not_meet_itself(self):
+        s = sname("s")
+        p = Res(s, SOut((U_SINK,), END), Par(
+            Output(s, (Lit(1),), Inact()), Input(s, (Var("x"),), Inact())))
+        assert enabled(p) == []
+
+    def test_select_outside_the_annotation_leaves_it_as_it_was(self):
+        s = sname("s")
+        st = SSel((("a", END),))
+        p = Res(s, st, Par(
+            Select(s, "b", Output(s, (SINK,), Inact())),
+            Branch(s.dualized(), (("b", Input(s.dualized(), (Var("x"),), Inact())),)),
+        ))
+        t = run(p)
+        assert [x.kind for x in t.steps] == ["select", "comm"]
+        first = t.steps[0].term
+        assert isinstance(first, Res) and first.annot == st
+
+    def test_beta_arity_mismatch_raises(self):
+        f = Abs(((Var("x"), BOOL),), Inact())
+        with pytest.raises(SemanticsError, match="^application arity mismatch$"):
+            run(App(f, (Lit(True), Lit(False))))
 
     def test_beta_polyadic(self):
         s = sname("s")

@@ -15,6 +15,8 @@ from minsess.terms import (
     NameSupply,
     Output,
     Par,
+    Memo,
+    Rendering,
     Res,
     Select,
     TermError,
@@ -38,7 +40,7 @@ from minsess.terms import (
     trampoline,
     used_bases,
 )
-from minsess.types import BOOL, INT, SEnd, SIn, SOut, SRec, SVar, TArrow, canon_key
+from minsess.types import BOOL, INT, SEnd, SIn, SOut, SRec, SVar, TArrow, TChan, TypeError_, canon_key
 
 END = SEnd()
 U_SH = TArrow((END,), shared=True)
@@ -369,7 +371,7 @@ def test_labels_with_template_punctuation_keep_terms_apart():
     s = Name("s")
     one = Branch(s, (("x:0;y", Inact()),))
     two = Branch(s, (("x", Inact()), ("y", Inact())))
-    assert template(one, ()) != template(two, ())
+    assert template(one) != template(two)
     assert not alpha_eq(one, two)
     assert not alpha_eq(Select(s, "a.b", Inact()), Select(s, "a", Select(s, "b", Inact())))
 
@@ -378,14 +380,14 @@ def test_name_bases_with_template_punctuation_keep_terms_apart():
     f = Var("f")
     glued = App(f, (Name("a.None.session,b"),))
     apart = App(f, (Name("a"), Name("b")))
-    assert template(glued, ()) != template(apart, ())
+    assert template(glued) != template(apart)
     assert not alpha_eq(glued, apart)
 
 
 def test_identifier_bases_and_labels_render_verbatim():
     s, k = Name("s'"), Name("#", 2)
     p = Select(s, "go_1", Output(k, (Var("x'"),), Inact()))
-    assert template(p, ()) == ("s'.None.session<go_1.#.2.session!(fv:x'.None).0", 0)
+    assert template(p) == ("s'.None.session<go_1.#.2.session!(fv:x'.None).0", 0)
 
 
 def test_encode_namepass_clauses_share_their_binders():
@@ -416,6 +418,7 @@ def test_literals_compare_and_hash_by_type_and_value():
     assert Lit(1) != Lit(True) and Lit(0) != Lit(False)
     assert Lit(1) == Lit(1) and hash(Lit(True)) == hash(Lit(True))
     assert len({Lit(1), Lit(True), Lit(1), Lit(0), Lit(False)}) == 4
+    assert Lit(1) != 1 and Lit(1).__eq__(Var("x")) is NotImplemented
 
 
 def test_encode_namepass_translates_each_type_once(monkeypatch):
@@ -510,6 +513,8 @@ def test_term_equality_compares_what_scope_does_not_list():
     assert Abs(((x, INT),), Inact()) != Abs(((x, INT),), Inact(), shared=True)
     # a literal's type counts, as in templates
     assert Output(s, (Lit(1),), Inact()) != Output(s, (Lit(True),), Inact())
+    # children of different classes
+    assert Output(s, (Lit(1),), Inact()) != Output(s, (Lit(1),), Par(Inact(), Inact()))
     # bound names count too, though templates, and so hashes, ignore them
     renamed = Input(s, (Var("y"),), Inact())
     assert Input(s, (x,), Inact()) != renamed
@@ -552,3 +557,73 @@ def test_every_term_class_has_a_row():
     # among the subclasses until it is collected
     classes = {c for c in terms._Term.__subclasses__() if getattr(terms, c.__name__) is c}
     assert classes == set(terms._NODES) == {type(t) for t in _one_of_each_node()}
+
+
+_S, _X, _F = Name("s"), Var("x"), Var("f")
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: Name("s", None, False, "linear"), TermError, "bad name kind 'linear'"),
+    (lambda: Name("s", 0), TermError, "name indices start at 1"),
+    (lambda: Lit("one"), TermError, "unsupported literal 'one'"),
+    (lambda: Abs((), Inact()), TermError, "abstractions bind at least one parameter"),
+    (lambda: Abs(((_X, INT), (_X, INT)), Inact()), TermError,
+     "duplicate abstraction parameters: [Var(base='x', index=None), Var(base='x', index=None)]"),
+    (lambda: Input(_S, (_X, _X), Inact()), TermError,
+     "duplicate input binders: (Var(base='x', index=None), Var(base='x', index=None))"),
+    (lambda: Branch(_S, ()), TermError, "branch needs at least one label"),
+    (lambda: Branch(_S, (("a", Inact()),)).branch("b"), KeyError, "'b'"),
+    (lambda: App(Lit(1), (_S,)), TermError, "literals cannot be applied"),
+    (lambda: Res(_S.dualized(), END, Inact()), TermError,
+     "restriction binds the plain-polarity endpoint"),
+    (lambda: Res(_S, TChan(INT), Inact()), TermError, "restriction kind mismatch: s with chan Int"),
+    (lambda: free_names(Output(_S, (1.5,), Inact())), TermError, "unknown term node 1.5"),
+    (lambda: template(Output(Inact(), (Lit(1),), Inact())), TermError, "unknown term node Inact()"),
+    (lambda: substitute(App(_F, (Lit(1),)), {_F: _S}), TermError,
+     "substitution put a bare name in function position"),
+    (lambda: substitute(App(_F, (_X,)), {_X: Abs(((_X, INT),), Inact())}), TermError,
+     "substitution put an abstraction in argument position"),
+    (lambda: substitute(Output(_X, (Lit(1),), Inact()), {_X: Lit(2)}), TermError,
+     "substitution put a non-channel in subject position: Lit(value=2)"),
+    (lambda: encode_nptype(SOut((TArrow((END,), False),), END)), TypeError_,
+     "unsupported first-order payload lin(end)"),
+    (lambda: encode_nptype(TArrow((END,), False)), TypeError_, "unsupported first-order type lin(end)"),
+    (lambda: encode_namepass(Abs(((_X, INT),), Inact())), TermError,
+     "unsupported construct for the first-order front end: "
+     "Abs(params=((Var(base='x', index=None), Int),), body=Inact(), shared=False)"),
+    (lambda: encode_namepass(Output(_S, (Name("a"), Name("b")), Inact())), TermError,
+     "first-order payloads survived the encoding"),
+], ids=["name-kind", "name-index", "literal", "abs-empty", "abs-duplicate", "input-duplicate",
+        "branch-empty", "branch-missing", "app-literal", "res-polarity", "res-kind",
+        "scan-unknown", "render-unknown", "sub-function", "sub-argument", "sub-subject",
+        "np-payload", "np-type", "np-construct", "np-survivor"])
+def test_term_errors_as_printed(make, error, message):
+    with pytest.raises(error) as raised:
+        make()
+    assert str(raised.value) == message
+
+
+def test_rendering_order_agrees_with_finished_texts():
+    # a short text that is a strict prefix of a long one, which is
+    # rendered in steps: "s!(1).0" against "s!(1).0x..." and longer still;
+    # chain(30) renders 63 nodes, so two of them end on a step boundary
+    def chain(n):
+        t = Inact()
+        for _ in range(n):
+            t = Output(Name("0x"), (Lit(1),), t)
+        return Output(Name("s"), (Lit(1),), t)
+
+    def rendering(t):
+        return Rendering(t, (), Memo())
+
+    def text(t):
+        r = rendering(t)
+        r.fmt()
+        return r.prefix()
+
+    terms = [chain(0), chain(30), chain(30), chain(40), chain(41)]
+    texts = [text(t) for t in terms]
+    assert all(b.startswith(a) for a, b in zip(texts, texts[1:]))
+    for a, ta in zip(terms, texts):
+        for b, tb in zip(terms, texts):
+            assert rendering(a).less(rendering(b)) == (None if ta == tb else ta < tb)

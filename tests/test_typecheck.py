@@ -357,6 +357,41 @@ class TestValues:
         assert bad(result, "Val").first_error() == "[Val] at top: names are not values: a"
 
 
+_S, _U, _A = sname("s"), sname("u"), shname("a")
+_X, _Y, _F = Var("x"), Var("y"), Var("f")
+
+
+class TestDiagnosticsAsPrinted:
+    @pytest.mark.parametrize("envs,p,error", [
+        (TypeEnvs(lam={_X: TArrow((END,), False)}), Output(_X, (Lit(1),), Inact()),
+         "[Subj] at top: x is a linear value, not a channel"),
+        (TypeEnvs(gamma={_X: INT}), Output(_X, (Lit(1),), Inact()),
+         "[Subj] at top: x : Int cannot be a subject"),
+        (None, Lit(1), "[Proc] at top: unknown process node Lit(value=1)"),
+        (TypeEnvs(gamma={_A: TChan(INT)}), Select(_A, "l", Inact()),
+         "[Sel] at top: selection needs a session subject, got a"),
+        (TypeEnvs(gamma={_A: TChan(INT)}), Output(_A, (Lit(1), Lit(2)), Inact()),
+         "[Req] at top: shared outputs carry exactly one value"),
+        (TypeEnvs(delta={_S: SIn((INT,), END)}), Input(_S, (_X, _Y), Inact()),
+         "[Rcv] at top: 2 binders against payload type tuple 1"),
+        (TypeEnvs(gamma={_A: TChan(INT)}), Input(_A, (_X, _Y), Inact()),
+         "[Acc] at top: shared inputs bind exactly one value"),
+        (TypeEnvs(gamma={_A: TChan(INT)}), Branch(_A, (("l", Inact()),)),
+         "[Bra] at top: branching needs a session subject, got a"),
+        (TypeEnvs(lam={_F: TArrow((END,), False)}, delta={_S: SBra((("a", END), ("b", END))), _U: END}),
+         Branch(_S, (("a", App(_F, (_U,))), ("b", Inact()))),
+         "[Bra] at top: branches a and b consume different resources"),
+        (TypeEnvs(lam={_F: TArrow((INT,), False)}, delta={_U: END}), App(_F, (_U,)),
+         "[App] at arg/0: session channel u against parameter Int"),
+        (TypeEnvs(delta={_S: SOut((INT,), END)}), Output(_S, (Inact(),), Inact()),
+         "[Val] at payload/0: unknown value node Inact()"),
+    ], ids=["subject-linear", "subject-value", "unknown-process", "select-shared",
+            "request-arity", "receive-arity", "accept-arity", "branch-shared",
+            "branch-resources", "session-argument", "unknown-value"])
+    def test_first_error(self, envs, p, error):
+        assert bad(check_process(envs, p)).first_error() == error
+
+
 class TestRecursion:
     def test_unfold_at_prefix_and_handoff(self):
         loop = SRec("t", SIn((U_SINK,), SOut((U_SINK,), SVar("t"))))

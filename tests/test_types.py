@@ -24,6 +24,7 @@ from minsess.types import (
     format_type,
     gdecomp,
     gdecomp_params,
+    gdecomp_val,
     gwidth,
     is_minimal,
     free_tvars,
@@ -33,7 +34,7 @@ from minsess.types import (
     unfold,
     unfold_top,
 )
-from minsess.terms import Name, encode_nptype
+from minsess.terms import Name, Var, encode_nptype
 
 END = SEnd()
 
@@ -141,6 +142,14 @@ def test_dual_mixed_recursion_rejected():
         dual(mixed)
 
 
+def test_rec_binder_shadowed_in_a_payload():
+    # the inner binder hides t, so the outer t occurs on the spine alone
+    inner = SRec("t", SOut((INT,), SVar("t")))
+    t = SRec("t", SOut((TArrow((inner,), False),), SVar("t")))
+    assert is_tail_recursive(t)
+    assert format_type(dual(t)) == "rec t.?<lin(rec t.!<Int>;t)>;t"
+
+
 def test_is_tail_recursive():
     assert is_tail_recursive(LOOP)
     assert not is_tail_recursive(EQ_SERVICE)
@@ -223,12 +232,15 @@ def test_gdecomp_params_flatten_sessions():
 
 def test_envdecomp_expands_session_entries():
     s1 = Name("s", 1)
-    env = {s1: EQ_SERVICE}
+    # a session-typed variable is indexed in place like a name
+    env = {s1: EQ_SERVICE, Var("x", 1): SOut((INT,), SIn((BOOL,), END))}
     got = envdecomp(env)
     assert got == {
         Name("s", 1): SIn((INT,), END),
         Name("s", 2): SIn((INT,), END),
         Name("s", 3): SOut((BOOL,), END),
+        Var("x", 1): SOut((INT,), END),
+        Var("x", 2): SIn((BOOL,), END),
     }
 
 
@@ -273,6 +285,16 @@ def test_env_step_unfolds_recursion():
     nxt = env_step({s: LOOP, sd: dual(LOOP)})
     assert len(nxt) == 1
     assert equal_types(nxt[0][s], SIn((BOOL,), SOut((BOOL,), LOOP)))
+
+
+def test_variable_keys_have_no_partner():
+    # the checker keys session-typed abstraction parameters by variable
+    x, s, sd = Var("x"), Name("s", 1), Name("s", 1, True)
+    lone = {x: SOut((INT,), END)}
+    assert balanced(lone)
+    assert env_step(lone) == []
+    assert env_step({**lone, s: SOut((INT,), END), sd: SIn((INT,), END)}) == [
+        {x: SOut((INT,), END), s: END, sd: END}]
 
 
 def test_equal_types_unfolding():
@@ -357,6 +379,25 @@ def test_unfold_top_strips_any_number_of_leading_binders():
     head = unfold_top(t)
     assert isinstance(head, SOut) and head.payload == (INT,)
     assert equal_types(head, t) and equal_types(head.cont, t)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: SOut((), END), "output type needs a non-empty payload tuple"),
+    (lambda: SIn((), END), "input type needs a non-empty payload tuple"),
+    (lambda: TArrow((), False), "arrow type needs at least one parameter"),
+    (lambda: SSel(()), "choice type needs at least one branch"),
+    (lambda: SBra((("a", END), ("a", END))), "duplicate branch labels: ['a', 'a']"),
+    (lambda: dual("x"), "unknown type node 'x'"),
+    (lambda: dual(INT), "dual undefined for Int"),
+    (lambda: gdecomp_val(END), "not a value type: end"),
+    (lambda: gdecomp_params((TArrow((END,), False),)), "not a channel parameter type: lin(end)"),
+    (lambda: rsdecomp(SRec("t", SSel((("a", SVar("t")),)))), "recursive core is not tail-recursive"),
+], ids=["output", "input", "arrow", "choice", "labels", "unknown-node", "dual-value",
+        "value-type", "parameter-type", "rec-core"])
+def test_type_errors_as_printed(make, message):
+    with pytest.raises(TypeError_) as raised:
+        make()
+    assert str(raised.value) == message
 
 
 def test_contractivity_enforced():
