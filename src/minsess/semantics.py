@@ -78,7 +78,7 @@ from .terms import (
     parallel,
     substitute,
 )
-from .types import SBra, SIn, SOut, SRec, SSel, unfold_top
+from .types import SBra, SIn, SOut, SSel, unfold_top
 
 
 class SemanticsError(Exception):
@@ -419,7 +419,7 @@ def _det_rank(r: Redex) -> tuple:
 def _advance(annot, out_subject: Name, label: Optional[str]):
     """Move a restriction annotation, which tracks the positive endpoint,
     along the action a sender on out_subject just performed on it."""
-    t = unfold_top(annot) if isinstance(annot, SRec) else annot
+    t = unfold_top(annot)
     if label is None:
         return t.cont if isinstance(t, SIn if out_subject.dual else SOut) else annot
     if isinstance(t, SBra if out_subject.dual else SSel):

@@ -793,7 +793,9 @@ class Rendering:
     orders two renderings by their texts, rendering only up to the first
     difference. `fmt` is the same template as a `str.format` string.
     A term that memo knows to have at most `_WHOLE` nodes is rendered at
-    once: comparing whole texts costs less than rendering in steps."""
+    once: comparing whole texts costs less than rendering in steps. A term
+    memo has not scanned is rendered in steps, and is not scanned for its
+    size."""
 
     __slots__ = ("tokens", "slots", "binders", "stats", "_steps", "_text", "_seen", "_fmt")
 
@@ -802,13 +804,14 @@ class Rendering:
         self.slots = slots
         self.binders = 0  # known once the rendering is complete
         self.stats = memo.stats
-        size = _fv(t, memo)[2]
-        quota = size + 1 if size <= _WHOLE else 1
+        known = memo.free.get(id(t))
+        whole = known is not None and known[2] <= _WHOLE
+        quota = known[2] + 1 if whole else 1
         self._steps: Optional[Generator] = _tokens(t, slots, self.tokens, self.stats, quota)
         self._text = ""  # the text of the first _seen tokens
         self._seen = 0
         self._fmt: Optional[str] = None
-        if size <= _WHOLE:
+        if whole:
             self.advance()
 
     def advance(self) -> bool:
@@ -902,30 +905,52 @@ def alpha_eq(a, b) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _np_rule(t, kids, table: dict):
+def _np_rule(t, kids, entries: dict):
     """The rule of a fold along the spine: the children off it, a prefix's
-    payloads, become their package types."""
+    payloads, become their package types, which entries holds by id."""
     children = _CHILDREN[t.__class__](t)
-    packages = []
-    for u in children[:len(children) - len(kids)]:
-        if not (isinstance(u, TBase) or is_session(u)):
-            raise TypeError_(f"unsupported first-order payload {u!r}")
-        packages.append(_np_payload(u, table)[2])
+    packages = [entries[id(u)][2] for u in children[:len(children) - len(kids)]]
     return remake(t, [*packages, *kids])
+
+
+def _off_spine(t, kids, found: list) -> None:
+    """The rule of a fold along the spine that lists the children off it."""
+    children = _CHILDREN[t.__class__](t)
+    found += children[:len(children) - len(kids)]
 
 
 def _np_payload(c, table: dict) -> tuple:
     """What packaging an item of type c takes: (c translated, the type of
     the channel that carries its package, the package's type). Made once
     per type up to binder names in table, keyed by `canon_key`, so one
-    translation serves a payload, a carrier and a restriction."""
-    key = canon_key(c)
-    got = table.get(key)
-    if got is None:
-        hot = fold(c, _np_rule, env=table, spine=True) if is_session(c) else c
+    translation serves a payload, a carrier and a restriction.
+
+    The payloads nested in c are translated innermost first from a
+    worklist, in the order in which they occur along each spine, so the
+    fold of a type finds its payloads' entries and nesting costs no Python
+    stack."""
+    entries: dict = {}  # id of a type met in c -> its entry
+    stack: list = [(c, None)]
+    while stack:
+        u, key = stack.pop()
+        if key is None:  # met: look u up, or translate its payloads first
+            if u is not c and not (isinstance(u, TBase) or is_session(u)):
+                raise TypeError_(f"unsupported first-order payload {u!r}")
+            key = canon_key(u)
+            got = table.get(key)
+            if got is not None:
+                entries[id(u)] = got
+                continue
+            if is_session(u):
+                found: list = []
+                fold(u, _off_spine, env=found, spine=True)
+                stack.append((u, key))
+                stack += [(v, None) for v in reversed(found)]
+                continue
+        hot = fold(u, _np_rule, env=entries, spine=True) if is_session(u) else u
         carrier = package_type(hot)
-        got = table[key] = (hot, carrier, TArrow((carrier,), shared=False))
-    return got
+        entries[id(u)] = table[key] = (hot, carrier, TArrow((carrier,), shared=False))
+    return entries[id(c)]
 
 
 def encode_nptype(t):
@@ -934,7 +959,7 @@ def encode_nptype(t):
     package is typed with, where C' is C translated."""
     if isinstance(t, (TArrow, TChan)):
         raise TypeError_(f"unsupported first-order type {t!r}")
-    return fold(t, _np_rule, env={}, spine=True)
+    return _np_payload(t, {})[0]
 
 
 def package_type(c: CType) -> SIn:

@@ -65,7 +65,6 @@ from .types import (
     SIn,
     SOut,
     SBra,
-    SRec,
     SSel,
     TArrow,
     TBase,
@@ -109,22 +108,11 @@ class CheckResult:
 
 
 class CheckError(Exception):
+    """A type error, raised as the `Diagnostic` it reports."""
+
     def __init__(self, path, rule: str, message: str) -> None:
         super().__init__(f"[{rule}] {message}")
-        self.path = path
-        self.rule = rule
-        self.message = message
-
-    def diagnostic(self) -> Diagnostic:
-        return Diagnostic(_steps(self.path), self.rule, self.message)
-
-
-def _union(a: set, b: set) -> set:
-    """a | b, adding the smaller set into the larger."""
-    if len(a) < len(b):
-        a, b = b, a
-    a |= b
-    return a
+        self.diagnostic = Diagnostic(_steps(path), rule, message)
 
 
 def _touch(key, touched: set) -> set:
@@ -142,24 +130,13 @@ def _steps(path) -> Path:
     return tuple(reversed(steps))
 
 
-def _is_end(t) -> bool:
-    return isinstance(t, SEnd)
-
-
 def _compat(actual, expected) -> bool:
     """Type fit for a value against an expected type: equality up to
-    unfolding, or a shared arrow where a linear one is expected."""
-    if equal_types(actual, expected):
-        return True
-    if (
-        isinstance(actual, TArrow)
-        and isinstance(expected, TArrow)
-        and actual.shared
-        and not expected.shared
-        and len(actual.params) == len(expected.params)
-    ):
-        return all(equal_types(a, b) for a, b in zip(actual.params, expected.params))
-    return False
+    unfolding, where a shared arrow also fits as its linear form."""
+    if (isinstance(actual, TArrow) and actual.shared
+            and isinstance(expected, TArrow) and not expected.shared):
+        actual = TArrow(actual.params, False)
+    return equal_types(actual, expected)
 
 
 class _Checker:
@@ -203,7 +180,7 @@ class _Checker:
 
     def _head(self, u, t, cls, path, rule: str, what: str):
         """t unfolded to its head, which must be a cls."""
-        t = unfold_top(t) if isinstance(t, SRec) else t
+        t = unfold_top(t)
         if not isinstance(t, cls):
             raise CheckError(path, rule, f"{u} : {ty.format_type(t)} {what}")
         return t
@@ -358,7 +335,7 @@ class _Checker:
                         path, "Bra",
                         f"branches {base_label} and {label} leave {k} at different types",
                     )
-            t0 = _union(t0, t1)
+            t0 |= t1
         lam.clear()
         lam.update(lam0)
         delta.clear()
@@ -425,7 +402,7 @@ class _Checker:
 
     def _require_finished(self, delta: dict, touched: set, path) -> None:
         for k in touched:
-            if k in delta and not _is_end(delta[k]):
+            if k in delta and not isinstance(delta[k], SEnd):
                 raise CheckError(
                     path, "Par",
                     f"{k} touched here but left at {ty.format_type(delta[k])}",
@@ -475,7 +452,7 @@ class _Checker:
             raise CheckError(body_path, rule, "shared abstraction kept linear leftovers")
         for token in tokens:
             t = _unbind(token)
-            if token[0] is not self.gamma and (t is _MISSING or not _is_end(t)):
+            if token[0] is not self.gamma and (t is _MISSING or not isinstance(t, SEnd)):
                 raise CheckError(
                     body_path, rule,
                     f"parameter {token[1]} not driven to end "
@@ -489,7 +466,7 @@ class _Checker:
         param_vars = {x for x, _ in v.params}
         captured = {k for k in touched - param_vars if k in delta}
         for k in captured:
-            if not _is_end(delta[k]):
+            if not isinstance(delta[k], SEnd):
                 raise CheckError(
                     body_path, rule,
                     f"captured endpoint {k} left at {ty.format_type(delta[k])}",
@@ -523,7 +500,7 @@ def _closed(ends: tuple, body_path, touched: set) -> set:
     a session endpoint the body did not hand on."""
     for token in ends:
         t = _unbind(token)
-        if t is not _MISSING and is_session(t) and not _is_end(t):
+        if t is not _MISSING and is_session(t) and not isinstance(t, SEnd):
             raise CheckError(
                 body_path, "Res",
                 f"restricted endpoint {token[1]} left at {ty.format_type(t)}",
@@ -541,7 +518,7 @@ def _result(
     leftover = TypeEnvs(
         gamma={},
         lam=dict(lam),
-        delta={k: t for k, t in delta.items() if not _is_end(t)},
+        delta={k: t for k, t in delta.items() if not isinstance(t, SEnd)},
     )
     ok = not diagnostics
     return CheckResult(ok, leftover, diagnostics, checker.seen)
@@ -562,13 +539,13 @@ def _derive(ck: _Checker, envs: TypeEnvs, p) -> CheckResult:
         touched = trampoline(ck.proc(p, lam, delta, ()))
         ck._require_finished(delta, touched, ())
     except CheckError as e:
-        return _result(ck, envs.lam, envs.delta, [e.diagnostic()])
+        return _result(ck, envs.lam, envs.delta, [e.diagnostic])
     diagnostics: list[Diagnostic] = []
     if lam:
         diagnostics.append(
             Diagnostic((), "leftover", f"unconsumed linear values: {sorted(map(str, lam))}")
         )
-    bad = {k: t for k, t in delta.items() if not _is_end(t)}
+    bad = {k: t for k, t in delta.items() if not isinstance(t, SEnd)}
     if bad:
         msgs = ", ".join(f"{k} : {ty.format_type(t)}" for k, t in bad.items())
         diagnostics.append(Diagnostic((), "leftover", f"unfinished sessions: {msgs}"))
@@ -583,7 +560,7 @@ def check_value(envs: Optional[TypeEnvs], v):
     try:
         vtype = trampoline(ck.value(v, lam, delta, ()))
     except CheckError as e:
-        return None, _result(ck, envs.lam, envs.delta, [e.diagnostic()])
+        return None, _result(ck, envs.lam, envs.delta, [e.diagnostic])
     return vtype, _result(ck, lam, delta, [])
 
 

@@ -102,7 +102,11 @@ class _Choice(_Printed):
     branches: tuple[tuple[str, "SType"], ...]
 
     def __post_init__(self) -> None:
-        _check_branches(self.branches)
+        if not self.branches:
+            raise TypeError_("choice type needs at least one branch")
+        labels = [l for l, _ in self.branches]
+        if len(set(labels)) != len(labels):
+            raise TypeError_(f"duplicate branch labels: {labels}")
 
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
@@ -167,14 +171,6 @@ AnyType = Union[SType, TChan, TArrow, TBase]
 INT = TBase("Int")
 BOOL = TBase("Bool")
 END = SEnd()
-
-
-def _check_branches(branches: tuple[tuple[str, "SType"], ...]) -> None:
-    if not branches:
-        raise TypeError_("choice type needs at least one branch")
-    labels = [l for l, _ in branches]
-    if len(set(labels)) != len(labels):
-        raise TypeError_(f"duplicate branch labels: {labels}")
 
 
 def is_session(t: AnyType) -> bool:

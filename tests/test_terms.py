@@ -438,6 +438,22 @@ def test_encode_namepass_translates_each_type_once(monkeypatch):
     assert set(folds.values()) == {1}
 
 
+def test_encode_deeply_nested_payloads():
+    # !<!<...!<Int>;end...>;end>;end, 2,000 levels deep: each payload is
+    # translated before the level that carries it, on no Python frame per level
+    def pkg(c):
+        return TArrow((SIn((TArrow((c,), False),), END),), False)
+
+    t, want = SOut((INT,), END), SOut((pkg(INT),), END)
+    for _ in range(1999):
+        t, want = SOut((t,), END), SOut((pkg(want),), END)
+    assert canon_key(encode_nptype(t)) == canon_key(want)
+    a, s = Name("a"), Name("s")
+    (package,) = encode_namepass(Output(s, (a,), Inact()), {a: t}).payload
+    ((_, carrier),) = package.params
+    assert canon_key(carrier) == canon_key(SIn((TArrow((want,), False),), END))
+
+
 def test_trampoline_tails_release_their_step():
     # count down 100,000 steps: each ends in a tail whose `then` adds one,
     # and every fifth also yields a sub-step first
@@ -502,6 +518,22 @@ def test_long_terms_compare_and_hash_without_recursion():
     encoded = [encode_namepass(*delegation(2000, last)) for last in (0, 0, -1)]
     assert encoded[0] == encoded[1] and hash(encoded[0]) == hash(encoded[1])
     assert encoded[0] != encoded[2]
+
+
+def test_template_renders_without_a_scan(monkeypatch):
+    scans = Counter()
+    fv = terms._fv
+
+    def counted(t, memo):
+        scans["_fv"] += 1
+        return fv(t, memo)
+
+    monkeypatch.setattr(terms, "_fv", counted)
+    t = long_session(50)
+    template(t)
+    hash(t)
+    assert alpha_eq(t, long_session(50))
+    assert scans["_fv"] == 0
 
 
 def test_term_equality_compares_what_scope_does_not_list():

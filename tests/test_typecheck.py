@@ -191,6 +191,23 @@ class TestAbstraction:
         bad(check_process(envs, Output(s, (BOOL_SINK,), Inact())), "Val")
 
 
+    @pytest.mark.parametrize("sent,want,error", [
+        (Abs(((Var("b"), BOOL),), Inact(), shared=True), TArrow((BOOL,), False), None),
+        (Abs(((Var("b"), BOOL),), Inact(), shared=True), TArrow((BOOL,), True), None),
+        (BOOL_SINK, TArrow((BOOL,), True),
+         "[Val] at payload/0: value of type lin(Bool) where un(Bool) is required"),
+        (Abs(((Var("b"), BOOL),), Inact(), shared=True), TArrow((INT,), False),
+         "[Val] at payload/0: value of type un(Bool) where lin(Int) is required"),
+        (Abs(((Var("b"), BOOL),), Inact(), shared=True), TArrow((BOOL, BOOL), False),
+         "[Val] at payload/0: value of type un(Bool) where lin(Bool,Bool) is required"),
+    ], ids=["shared-for-linear", "shared-for-shared", "linear-for-shared",
+            "shared-for-other-linear", "shared-for-other-arity"])
+    def test_value_fit_at_its_edges(self, sent, want, error):
+        s = sname("s")
+        result = check_process(TypeEnvs(delta={s: SOut((want,), END)}), Output(s, (sent,), Inact()))
+        assert result.first_error() == error
+
+
 class TestParallel:
     def test_communicating_pair(self):
         s = sname("s")

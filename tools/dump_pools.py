@@ -1,0 +1,83 @@
+"""Print what `minsess` computes on the benchmark's pools, one line per item.
+
+    python3 tools/dump_pools.py --src <dir>
+
+imports `minsess` from <dir> (a checkout's `src/`) and builds the pools of
+seeds 1-3 of every workload with `perfbench/gen.py` next to this file.
+Each line names its operation (workload, seed, position, family, size)
+and gives one item of what it computed:
+
+  check    the verdict, every diagnostic, the number of types seen and,
+           for `deleg`, the template of the encoded process;
+  run      the status, then a line per step: its kind, subject, label
+           and the key of the state it reached;
+  explore  a line per state: its depth, terminal status and key, then
+           the edge count and whether the exploration was truncated.
+
+The last line gives the number of lines before it and their sha256, so two
+checkouts compute the same outputs when their dumps compare equal under
+`cmp`. The benchmark directory is only read: no bytecode is written to it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEEDS = (1, 2, 3)
+
+
+def check_lines(lib, op):
+    process, encoded = op.inputs["process"], ""
+    if op.family == "deleg":
+        process = lib.tm.encode_namepass(process, op.inputs["name_types"])
+        encoded = lib.tm.template(process)[0]
+    result = lib.tc.check_process(op.inputs["envs"], process)
+    diagnostics = " | ".join(map(str, result.diagnostics))
+    yield f"{result.ok} [{diagnostics}] {len(result.types_seen)} {encoded}"
+
+
+def run_lines(lib, op):
+    trace = lib.sem.run(op.inputs["process"])
+    yield trace.status
+    for s in trace.steps:
+        yield f"step {s.index} {s.kind} {s.subject} {s.label} {lib.sem.canonical_key(s.term)}"
+
+
+def explore_lines(lib, op):
+    ex = lib.sem.explore(op.inputs["process"])
+    for k in ex.states:
+        yield f"state {ex.depth[k]} {ex.terminals.get(k)} {k}"
+    yield f"edges {ex.edges} truncated {ex.truncated}"
+
+
+LINES = {"check": check_lines, "run": run_lines, "explore": explore_lines}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory that holds the minsess package")
+    args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(Path(args.src).resolve()), str(BENCH)]
+    import gen
+
+    lib = gen.Lib()
+    digest, count = hashlib.sha256(), 0
+    for workload, lines in LINES.items():
+        for seed in SEEDS:
+            for i, op in enumerate(gen.build_pool(lib, workload, seed)):
+                for line in lines(lib, op):
+                    text = f"{workload} {seed} {i} {op.family} {op.size} {line}\n"
+                    digest.update(text.encode())
+                    count += 1
+                    sys.stdout.write(text)
+    print(f"{count} lines, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
