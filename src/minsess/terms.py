@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Union
 
 from .types import (
-    _CHILDREN,
     BOOL,
     CType,
     END,
     INT,
     SIn,
+    SOut,
     TArrow,
     TBase,
     TChan,
@@ -905,52 +905,31 @@ def alpha_eq(a, b) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _np_rule(t, kids, entries: dict):
-    """The rule of a fold along the spine: the children off it, a prefix's
-    payloads, become their package types, which entries holds by id."""
-    children = _CHILDREN[t.__class__](t)
-    packages = [entries[id(u)][2] for u in children[:len(children) - len(kids)]]
-    return remake(t, [*packages, *kids])
+def _np_rule(t, kids, table: dict):
+    """The rule of the fold that translates a first-order type: a prefix's
+    payloads, each translated as a kid, become their package types."""
+    if t.__class__ is SOut or t.__class__ is SIn:
+        for u in t.payload:
+            if not (isinstance(u, TBase) or is_session(u)):
+                raise TypeError_(f"unsupported first-order payload {u!r}")
+        kids = [*(_np_payload(u, table, k)[2] for u, k in zip(t.payload, kids)), kids[-1]]
+    return remake(t, kids)
 
 
-def _off_spine(t, kids, found: list) -> None:
-    """The rule of a fold along the spine that lists the children off it."""
-    children = _CHILDREN[t.__class__](t)
-    found += children[:len(children) - len(kids)]
-
-
-def _np_payload(c, table: dict) -> tuple:
+def _np_payload(c, table: dict, hot=None) -> tuple:
     """What packaging an item of type c takes: (c translated, the type of
     the channel that carries its package, the package's type). Made once
     per type up to binder names in table, keyed by `canon_key`, so one
-    translation serves a payload, a carrier and a restriction.
-
-    The payloads nested in c are translated innermost first from a
-    worklist, in the order in which they occur along each spine, so the
-    fold of a type finds its payloads' entries and nesting costs no Python
-    stack."""
-    entries: dict = {}  # id of a type met in c -> its entry
-    stack: list = [(c, None)]
-    while stack:
-        u, key = stack.pop()
-        if key is None:  # met: look u up, or translate its payloads first
-            if u is not c and not (isinstance(u, TBase) or is_session(u)):
-                raise TypeError_(f"unsupported first-order payload {u!r}")
-            key = canon_key(u)
-            got = table.get(key)
-            if got is not None:
-                entries[id(u)] = got
-                continue
-            if is_session(u):
-                found: list = []
-                fold(u, _off_spine, env=found, spine=True)
-                stack.append((u, key))
-                stack += [(v, None) for v in reversed(found)]
-                continue
-        hot = fold(u, _np_rule, env=entries, spine=True) if is_session(u) else u
+    translation serves a payload, a carrier and a restriction; hot is c
+    translated, when a fold has made it already."""
+    key = canon_key(c)
+    got = table.get(key)
+    if got is None:
+        if hot is None:
+            hot = fold(c, _np_rule, env=table) if is_session(c) else c
         carrier = package_type(hot)
-        entries[id(u)] = table[key] = (hot, carrier, TArrow((carrier,), shared=False))
-    return entries[id(c)]
+        got = table[key] = (hot, carrier, TArrow((carrier,), shared=False))
+    return got
 
 
 def encode_nptype(t):
@@ -959,7 +938,7 @@ def encode_nptype(t):
     package is typed with, where C' is C translated."""
     if isinstance(t, (TArrow, TChan)):
         raise TypeError_(f"unsupported first-order type {t!r}")
-    return _np_payload(t, {})[0]
+    return fold(t, _np_rule, env={})
 
 
 def package_type(c: CType) -> SIn:

@@ -67,7 +67,6 @@ from .types import (
     SBra,
     SSel,
     TArrow,
-    TBase,
     TChan,
     equal_types,
     is_minimal,
@@ -358,36 +357,17 @@ class _Checker:
             )
         for i, (a, c) in enumerate(zip(p.args, ftype.params)):
             here = (path, "arg", i)
-            if isinstance(a, Lit):
-                if not (isinstance(c, TBase) and equal_types(a.btype, c)):
-                    raise CheckError(
-                        here, "App",
-                        f"literal {a.value!r} against parameter {ty.format_type(c)}",
-                    )
-                continue
-            if a in delta:
-                if not is_session(c):
-                    raise CheckError(
-                        here, "App",
-                        f"session channel {a} against parameter {ty.format_type(c)}",
-                    )
-                if not equal_types(delta[a], c):
-                    raise CheckError(
-                        here, "App",
-                        f"{a} : {ty.format_type(delta[a])} against parameter {ty.format_type(c)}",
-                    )
-                # the abstraction takes over the whole endpoint, which is
-                # gone from delta, and so from what touched can report
-                del delta[a]
-                continue
-            got = self.gamma.get(a)
+            # an endpoint passed on is taken over whole by the abstraction:
+            # it is gone from delta, and so from what touched can report
+            held = delta.pop(a, None)
+            got = a.btype if isinstance(a, Lit) else held or self.gamma.get(a)
             if got is None:
                 raise CheckError(here, "App", f"unknown argument {a}")
             if not equal_types(got, c):
-                raise CheckError(
-                    here, "App",
-                    f"{a} : {ty.format_type(got)} against parameter {ty.format_type(c)}",
-                )
+                what = (f"literal {a.value!r}" if isinstance(a, Lit)
+                        else f"session channel {a}" if held and not is_session(c)
+                        else f"{a} : {ty.format_type(got)}")
+                raise CheckError(here, "App", f"{what} against parameter {ty.format_type(c)}")
         return set()
 
     def _res(self, p: Res, lam: dict, delta: dict, path):

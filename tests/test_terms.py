@@ -438,6 +438,26 @@ def test_encode_namepass_translates_each_type_once(monkeypatch):
     assert set(folds.values()) == {1}
 
 
+def test_encode_namepass_shares_carriers():
+    # each receive clause opens its channel at the very carrier object that
+    # the package type of its item's type holds in s's translated annotation
+    p, name_types = delegation(6)
+    out = encode_namepass(p, name_types)
+    t = next(x for x in iter_subterms(p) if isinstance(x, Res) and x.binder == Name("s")).annot
+    hot = next(x for x in iter_subterms(out) if isinstance(x, Res) and x.binder == Name("s")).annot
+    carriers = {}
+    while isinstance(t, SOut):
+        carrier = carriers.setdefault(canon_key(t.payload[0]), hot.payload[0].params[0])
+        assert hot.payload[0].params[0] is carrier
+        t, hot = t.cont, hot.cont
+    shared = [
+        x.cont.annot is carriers[canon_key(name_types[x.cont.body.right.payload[0].params[0][0]])]
+        for x in iter_subterms(out)
+        if isinstance(x, Input) and isinstance(x.cont, Res) and isinstance(x.cont.body, Par)
+    ]
+    assert shared == [True] * 9
+
+
 def test_encode_deeply_nested_payloads():
     # !<!<...!<Int>;end...>;end>;end, 2,000 levels deep: each payload is
     # translated before the level that carries it, on no Python frame per level
@@ -619,6 +639,10 @@ _S, _X, _F = Name("s"), Var("x"), Var("f")
      "substitution put a non-channel in subject position: Lit(value=2)"),
     (lambda: encode_nptype(SOut((TArrow((END,), False),), END)), TypeError_,
      "unsupported first-order payload lin(end)"),
+    (lambda: encode_nptype(SOut((SOut((TArrow((END,), False),), END),), END)), TypeError_,
+     "unsupported first-order payload lin(end)"),
+    (lambda: encode_nptype(SIn((SOut((INT,), SIn((TArrow((END,), True),), END)),), END)),
+     TypeError_, "unsupported first-order payload un(end)"),
     (lambda: encode_nptype(TArrow((END,), False)), TypeError_, "unsupported first-order type lin(end)"),
     (lambda: encode_namepass(Abs(((_X, INT),), Inact())), TermError,
      "unsupported construct for the first-order front end: "
@@ -628,7 +652,7 @@ _S, _X, _F = Name("s"), Var("x"), Var("f")
 ], ids=["name-kind", "name-index", "literal", "abs-empty", "abs-duplicate", "input-duplicate",
         "branch-empty", "branch-missing", "app-literal", "res-polarity", "res-kind",
         "scan-unknown", "render-unknown", "sub-function", "sub-argument", "sub-subject",
-        "np-payload", "np-type", "np-construct", "np-survivor"])
+        "np-payload", "np-nested-payload", "np-deep-payload", "np-type", "np-construct", "np-survivor"])
 def test_term_errors_as_printed(make, error, message):
     with pytest.raises(error) as raised:
         make()

@@ -400,11 +400,16 @@ class TestDiagnosticsAsPrinted:
          "[Bra] at top: branches a and b consume different resources"),
         (TypeEnvs(lam={_F: TArrow((INT,), False)}, delta={_U: END}), App(_F, (_U,)),
          "[App] at arg/0: session channel u against parameter Int"),
+        (TypeEnvs(lam={_F: TArrow((BOOL,), False)}), App(_F, (Lit(1),)),
+         "[App] at arg/0: literal 1 against parameter Bool"),
+        (TypeEnvs(lam={_F: TArrow((SIn((INT,), END),), False)}, delta={_S: SOut((INT,), END)}),
+         App(_F, (_S,)), "[App] at arg/0: s : !<Int>;end against parameter ?<Int>;end"),
         (TypeEnvs(delta={_S: SOut((INT,), END)}), Output(_S, (Inact(),), Inact()),
          "[Val] at payload/0: unknown value node Inact()"),
     ], ids=["subject-linear", "subject-value", "unknown-process", "select-shared",
             "request-arity", "receive-arity", "accept-arity", "branch-shared",
-            "branch-resources", "session-argument", "unknown-value"])
+            "branch-resources", "session-argument", "literal-argument", "argument-mismatch",
+            "unknown-value"])
     def test_first_error(self, envs, p, error):
         assert bad(check_process(envs, p)).first_error() == error
 

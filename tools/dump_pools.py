@@ -8,7 +8,10 @@ Each line names its operation (workload, seed, position, family, size)
 and gives one item of what it computed:
 
   check    the verdict, every diagnostic, the number of types seen and,
-           for `deleg`, the template of the encoded process;
+           for `deleg`, the template of the encoded process; then the
+           decomposition of the session type, its dual, and the types the
+           restrictions and abstractions of the checked process hold in
+           preorder, each as the count and a sha256 of their `canon_key`s;
   run      the status, then a line per step: its kind, subject, label
            and the key of the state it reached;
   explore  a line per state: its depth, terminal status and key, then
@@ -30,6 +33,21 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (1, 2, 3)
 
 
+def keyed(lib, types) -> str:
+    """The count of types and the sha256 of their keys, one per line."""
+    keys = [lib.ty.canon_key(t) + "\n" for t in types]
+    return f"{len(keys)} {hashlib.sha256(''.join(keys).encode()).hexdigest()}"
+
+
+def held_types(lib, process):
+    """The types the restrictions and abstractions of process hold, in preorder."""
+    for x in lib.tm.iter_subterms(process):
+        if isinstance(x, lib.tm.Res):
+            yield x.annot
+        elif isinstance(x, lib.tm.Abs):
+            yield from (c for _, c in x.params)
+
+
 def check_lines(lib, op):
     process, encoded = op.inputs["process"], ""
     if op.family == "deleg":
@@ -38,6 +56,10 @@ def check_lines(lib, op):
     result = lib.tc.check_process(op.inputs["envs"], process)
     diagnostics = " | ".join(map(str, result.diagnostics))
     yield f"{result.ok} [{diagnostics}] {len(result.types_seen)} {encoded}"
+    stype = op.inputs["stype"]
+    yield f"parts {keyed(lib, lib.ty.gdecomp(stype))}"
+    yield f"dual {keyed(lib, [lib.ty.dual(stype)])}"
+    yield f"held {keyed(lib, held_types(lib, process))}"
 
 
 def run_lines(lib, op):
