@@ -10,11 +10,12 @@ govern, so every intermediate state carries a well-formed session
 environment for its restricted names.
 
 A state is held as a `_Soup`: the hoisted binders with their annotations,
-one `_Comp` per component in sort order, and how many components each free
-name occurs in. `normalize`, `enabled`, `apply_redex` and `canonical_key`
-take a term or a soup; on a term they build its soup first and answer with
-a term, on a soup they answer with a soup. `run` and `explore` step on
-soups, and a step costs what its redex consumes and makes:
+one `_Comp` per component, sorted ones and then an unsorted tail, and how
+many components each free name occurs in. `normalize`, `enabled`,
+`apply_redex` and `canonical_key` take a term or a soup; on a term they
+build its soup first and answer with a term, on a soup with a soup. `run`
+and `explore` step on soups, and a step costs what its redex consumes and
+makes:
 
 - Free names come from the call's memo (`terms.Memo`), which scans each
   subterm once, and `terms.substitute` returns a subterm in which nothing
@@ -25,12 +26,13 @@ soups, and a step costs what its redex consumes and makes:
   name literal. Two renderings are compared by rendering both only up to
   their first difference (small components are rendered whole), and
   `canonical_key` finishes the same renderings.
-- `_normalize` merges the new components into the kept ones, which are in
-  order and whose hoisted names cannot change, as a stable sort would; a
-  binder dies when its count of components does; the binder order is
-  computed only for a term or a key.
-- `run` picks each redex from an index of senders, receivers and betas that
-  each step updates, and materializes a step's term only when it is read.
+- `_normalize` appends the new components to the tail; a binder dies when
+  its count of components does. A term, a key or `enabled` merges the tail
+  into the sorted components, whose hoisted names cannot change, as a
+  stable sort would. So `explore`, which keys each state, sorts each one;
+  `run` picks each redex from an index of senders, receivers and betas
+  that each step updates, and sorts a state only to break a tie of the
+  policy or when its term is read.
 - The components a redex makes are recorded with the component that
   fired it, under its partner and label, and reused, renderings included,
   in every state of `explore` where the same components meet again. Only
@@ -131,11 +133,6 @@ class _Comp:
             self._literal = self.key() if not self.slots else Rendering(self.term, (), self._memo)
         return self._literal
 
-    def release(self) -> None:
-        """Drop the renderings, remade on demand, and the redexes fired: a
-        component `run` has consumed is kept only for its term."""
-        self._key = self._literal = self.fired = None
-
     def __lt__(self, other: "_Comp") -> bool:
         less = self.key().less(other.key())
         if less is None:
@@ -145,11 +142,12 @@ class _Comp:
 
 class _Soup:
     """A state: `binders` maps each hoisted binder to its annotation,
-    `comps` holds the components in sort-key order, and `counts` says in
-    how many components each positive free name occurs, so a binder dies
-    when its count does. The binders' order, first use in `comps`, is
-    computed only when `term` or `canonical_key` asks for it, and the term
-    is materialized only when asked for. `memo` is the call's `terms.Memo`.
+    `comps` holds its first `nsorted` components in sort-key order and then
+    the tail, those added since in the order they came, which `sort`
+    merges in, and `counts` says in how many components each positive free
+    name occurs, so a binder dies when its count does. The binders' order
+    and the term are computed only when asked for. `memo` is the call's
+    `terms.Memo`.
 
     A soup whose `raw` is not None is still to be normalized: it comes
     from `_fire` or `_as_soup` with the `raw` terms to flatten in and the
@@ -157,21 +155,34 @@ class _Soup:
     `_normalize` completes them in place, checking the names in `dying`
     (counts that fell to zero) for dead binders and recording what it made
     under `source`, the fired component and its key, when it can be
-    reused. A normal soup is not changed, except that `run`, which keeps
-    one soup per step for its term, drops the counts of a soup it has
-    stepped from: `fresh` lists the components its normalization added."""
+    reused. A normal soup is not changed, except that `sort` merges its
+    tail in and that `run`, which keeps one soup per step for its term,
+    drops the counts of a soup it has stepped from: `fresh` lists the
+    components its normalization added."""
 
     __slots__ = ("binders", "comps", "counts", "memo", "raw", "made", "dying", "source",
-                 "fresh", "_order", "_term")
+                 "fresh", "nsorted", "_order", "_term")
 
     def __init__(self, binders: dict, comps: list, counts: Optional[dict], memo: Memo,
                  raw: Optional[tuple] = None, made: tuple = (), dying: tuple = (),
-                 source: Optional[tuple] = None, fresh: list = ()) -> None:
+                 source: Optional[tuple] = None, fresh: list = (), nsorted: int = 0) -> None:
         self.binders, self.comps, self.counts, self.memo = binders, comps, counts, memo
         self.raw, self.made, self.dying, self.source = raw, made, dying, source
-        self.fresh = fresh
+        self.fresh, self.nsorted = fresh, nsorted
         self._order: Optional[tuple] = None
         self._term = None
+
+    def sort(self) -> list:
+        """Merge the tail in, each component after every one that does not
+        sort after it, and give the components, now in order."""
+        comps, n = self.comps, self.nsorted
+        if n < len(comps):
+            tail = comps[n:]
+            del comps[n:]
+            for c in tail:
+                insort_right(comps, c)
+            self.nsorted = len(comps)
+        return comps
 
     def order(self) -> tuple:
         """The binders in order of first use by the sorted components."""
@@ -185,7 +196,7 @@ class _Soup:
 
     def term(self):
         if self._term is None:
-            body = parallel(c.term for c in self.comps)
+            body = parallel(c.term for c in self.sort())
             for b in reversed(self.order()):
                 body = Res(b, self.binders[b], body)
             self._term = body
@@ -194,9 +205,8 @@ class _Soup:
 
 def _normalize(soup: _Soup) -> _Soup:
     """The normalized soup: the made components and then the raw terms,
-    flattened, are added to the components, which are already normal and
-    in order, each merged in after every component that does not sort
-    after it, as a stable sort would place it.
+    flattened, are appended to the tail of the components, which are
+    already normal; `_Soup.sort` sorts them when the order is asked for.
 
     A raw restriction whose binder collides with a binder, a free name of
     the state or a free name of the raw terms is renamed throughout its
@@ -251,12 +261,11 @@ def _normalize(soup: _Soup) -> _Soup:
             del binders[b]
     for c in new:
         c.slots = tuple(n for n in c.names if n in binders)
-    for c in added:
-        insort_right(kept, c)
+    kept += added
     stats = memo.stats
     stats["normalizations"] += 1
     stats["components_built"] += len(new)
-    return _Soup(binders, kept, counts, memo, fresh=added)
+    return _Soup(binders, kept, counts, memo, fresh=added, nsorted=soup.nsorted)
 
 
 class _Claims:
@@ -340,10 +349,11 @@ def canonical_key(p) -> str:
     components joined right-nested. It finishes the renderings the sort
     began, so no component is rendered twice."""
     soup = _as_soup(p)
+    comps = soup.sort()
     number = {b: k for k, b in enumerate(soup.order(), 1)}
     offset = len(number)
     parts = []
-    for c in soup.comps:
+    for c in comps:
         key = c.key()
         fmt = key.fmt()
         nb = key.binders
@@ -384,7 +394,7 @@ def _meets(out, inp) -> bool:
 def enabled(p) -> list[Redex]:
     """Every redex of the state. A prefix's subject, a free name, has its
     positive endpoint first among its component's names."""
-    comps = _as_soup(p).comps
+    comps = _as_soup(p).sort()
     receivers: dict[Name, list[int]] = {}
     for j, d in enumerate(comps):
         if isinstance(d.term, (Input, Branch)) and isinstance(d.term.subject, Name):
@@ -404,16 +414,22 @@ def enabled(p) -> list[Redex]:
 
 
 _BIG = 10**9
+# what `run` and `explore` count, each reported, as 0 if it never rose
+_COUNTERS = ("normalizations", "components_built", "steps_reused", "full_renderings",
+             "nodes_scanned", "nodes_substituted", "nodes_rendered")
+
+
+def _rank(n: Optional[Name]) -> tuple:
+    """The policy's rank of a redex on subject n (None: a beta) up to ties."""
+    if n is None:
+        return (1, 0)
+    if tm.is_reserved(n):
+        return (0, -(n.index if n.index is not None else _BIG))
+    return (2, (n.base, n.index or 0, n.kind))
 
 
 def _det_rank(r: Redex) -> tuple:
-    if r.kind == "beta":
-        return (1, 0, r.i, -1)
-    n = r.subject
-    if tm.is_reserved(n):
-        idx = n.index if n.index is not None else _BIG
-        return (0, -idx, r.i, r.j)
-    return (2, (n.base, n.index or 0, n.kind), r.i, r.j)
+    return (*_rank(r.subject), r.i, -1 if r.j is None else r.j)
 
 
 def _advance(annot, out_subject: Name, label: Optional[str]):
@@ -431,28 +447,34 @@ def _advance(annot, out_subject: Name, label: Optional[str]):
 
 def apply_redex(p, r: Redex):
     """The state after firing r, normalized: only the components r produces
-    are new."""
-    soup = normalize(_fire(_as_soup(p), r))
-    return soup if isinstance(p, _Soup) else soup.term()
+    are new. r's positions are those `enabled` gives: in the soup as
+    `enabled` left it, sorted, or in the sorted soup of a term."""
+    if isinstance(p, _Soup):
+        return normalize(_fire(p, r))
+    soup = _as_soup(p)
+    soup.sort()
+    return normalize(_fire(soup, r)).term()
 
 
 def _fire(soup: _Soup, r: Redex) -> _Soup:
-    """The soup after firing r, with what it produces still to normalize:
-    the consumed components are sliced out and their names' counts
-    lowered. The components r makes are taken from r's entry in the
-    `fired` table of its sender or application, if there is one; else the
-    produced terms are left raw, and their normalization may record them
-    there."""
-    comps, memo = soup.comps, soup.memo
+    """The soup after firing r, whose positions are in the soup's
+    components as they lie, with what it produces still to normalize: the
+    consumed components are sliced out and their names' counts lowered.
+    The components r makes are taken from r's entry in the `fired` table
+    of its sender or application, if there is one; else the produced
+    terms are left raw, and their normalization may record them there."""
+    comps, memo, head = soup.comps, soup.memo, soup.nsorted
     binders = dict(soup.binders)
     c = comps[r.i]
     if r.kind == "beta":
         gone = (c,)
         kept = comps[:r.i] + comps[r.i + 1:]
+        nsorted = head - (r.i < head)
     else:
         lo, hi = sorted((r.i, r.j))
         gone = (c, comps[r.j])
         kept = comps[:lo] + comps[lo + 1:hi] + comps[hi + 1:]
+        nsorted = head - (lo < head) - (hi < head)
         out = c.term
         if out.subject.kind == "session":
             pos = c.names[0]  # the positive endpoint of the subject
@@ -475,7 +497,7 @@ def _fire(soup: _Soup, r: Redex) -> _Soup:
             else:
                 del counts[n]
                 dying.append(n)
-    return _Soup(binders, kept, counts, memo, raw, made, tuple(dying), source)
+    return _Soup(binders, kept, counts, memo, raw, made, tuple(dying), source, nsorted=nsorted)
 
 
 def _produce(r: Redex, gone: tuple, memo: Memo) -> tuple:
@@ -497,8 +519,8 @@ class _Redexes:
     redex, updated with the components each step consumes and makes:
     senders and receivers by the positive endpoint of their subject (the
     first of their names), betas, and the subjects with a matching pair.
-    `first` gives the redex `min(enabled(soup), key=_det_rank)` would,
-    looking up positions only for the ready pairs and the betas.
+    They are gathered from all of a soup's components, its tail included,
+    and `first` asks for the soup's order only to break a tie.
 
     `enabled` keeps its own scan of the state: built from a fresh
     `_Redexes`, it takes 19.5-22.7 us per state instead of 9.1-9.7 us over
@@ -548,18 +570,27 @@ class _Redexes:
                 if _meets(c.term, d.term):
                     yield c, d
 
-    def first(self, comps: list) -> Optional[Redex]:
-        """The policy's pick among the ready pairs and the betas."""
-        return min(self._candidates(comps), key=_det_rank, default=None)
+    def first(self, soup: _Soup) -> Optional[Redex]:
+        """`min(enabled(soup), key=_det_rank)`, at the positions where its
+        components lie: the soup is sorted, and positions are compared,
+        only when the policy's first rank by subject is a tie."""
+        picks = list(self._candidates())
+        if len(picks) == 1:  # the common case, with nothing to rank
+            kind, n, label, gone = picks[0]
+            return Redex(kind, *map(soup.comps.index, gone), subject=n, label=label)
+        ranks = [_rank(n) for _, n, _, _ in picks]
+        comps = soup.sort() if ranks.count(min(ranks, default=())) > 1 else soup.comps
+        return min((Redex(kind, *map(comps.index, gone), subject=n, label=label)
+                    for kind, n, label, gone in picks), key=_det_rank, default=None)
 
-    def _candidates(self, comps: list):
+    def _candidates(self):
         for n in self.ready:
             for c, d in self._pairs(n):
-                i, j, out = comps.index(c), comps.index(d), c.term
-                yield Redex("comm", i, j, n) if out.__class__ is Output else \
-                    Redex("select", i, j, n, out.label)
+                out = c.term
+                yield ("comm", n, None, (c, d)) if out.__class__ is Output else \
+                    ("select", n, out.label, (c, d))
         for c in self.betas:
-            yield Redex("beta", comps.index(c))
+            yield "beta", None, None, (c,)
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +616,21 @@ class Step:
 
 @dataclass
 class Trace:
-    initial: object
+    """A run. `initial` and `final`, its first and last state, are
+    materialized when read, as a step's `term` is."""
+
     steps: list
-    final: object
     status: str  # "inert" | "stuck" | "fuel"
-    stats: dict = field(default_factory=dict)
+    stats: dict
+    _start: _Soup = field(repr=False, compare=False)
+
+    @property
+    def initial(self):
+        return self._start.term()
+
+    @property
+    def final(self):
+        return self.steps[-1].term if self.steps else self.initial
 
 
 def _terminal_status(soup: _Soup) -> str:
@@ -604,28 +645,27 @@ def run(p, fuel: int = 200) -> Trace:
     enabled redex that comes first in the documented priority order
     (explore() covers all interleavings instead). A step costs what its
     redex consumes and makes: the redex comes from an index of the state's
-    senders, receivers and betas, and no state is materialized until a
-    step's `term` is read. `stats` counts normalizations, components built
-    and rendered in full, and term nodes scanned, substituted and
-    rendered."""
-    soup = _as_soup(p)
-    initial = soup.term()
+    senders, receivers and betas, and a state is sorted only to break a
+    tie and materialized only when its term is read. `stats` counts
+    normalizations, components built, reused and rendered in full, and
+    term nodes scanned, substituted and rendered; one that never rose is 0."""
+    soup = start = _as_soup(p)
     redexes = _Redexes(soup.comps)
     steps: list[Step] = []
     # the next redex is looked for first, so a run that ends with its fuel
     # reports how the last state ends
-    while (r := redexes.first(soup.comps)) is not None and len(steps) < fuel:
+    while (r := redexes.first(soup)) is not None and len(steps) < fuel:
         gone = [soup.comps[r.i]] if r.j is None else [soup.comps[r.i], soup.comps[r.j]]
-        last, soup = soup, apply_redex(soup, r)
+        last, soup = soup, normalize(_fire(soup, r))
         redexes.update(gone, soup.fresh)
         # what is left of the last state only materializes its term
         last.counts = None
         for c in gone:
-            c.release()
+            c.fired = None
         subject = str(r.subject) if r.subject is not None else None
         steps.append(Step(len(steps) + 1, r.kind, subject, r.label, soup))
     status = "fuel" if r is not None else _terminal_status(soup)
-    return Trace(initial, steps, soup.term(), status, dict(soup.memo.stats))
+    return Trace(steps, status, dict.fromkeys(_COUNTERS, 0) | soup.memo.stats, start)
 
 
 @dataclass
@@ -682,8 +722,7 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
                 depth[tk] = d + 1
                 nxt.append((tk, t))
         frontier = nxt
-    counted = s0.memo.stats
-    stats = dict(counted, dedup_hits=hits, steps_reused=counted["steps_reused"],
+    stats = dict(dict.fromkeys(_COUNTERS, 0) | s0.memo.stats, dedup_hits=hits,
                  cut_by_fuel=cut_by_fuel, cut_by_max_states=len(cut_by_max_states))
     truncated = bool(cut_by_fuel or cut_by_max_states)
     return Exploration(states, depth, terminals, truncated, edges, stats)

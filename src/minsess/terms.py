@@ -1014,6 +1014,7 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
     packed: dict = {}  # id of a type met -> (the type, its entry in table)
     sent: dict = {}  # a packaged item -> the payload packing it
     fixed: dict = {}  # the clauses' binders, and what is built of them alone
+    kept: list = []  # what the encoding keeps as it is, to check for names sent
 
     def clause(part: str):
         if not fixed:
@@ -1048,6 +1049,7 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
         # continuation, so only the pending constructors stay on the stack
         cls = t.__class__
         if cls is Inact or cls is App:
+            kept.append(t)
             return t
         if cls is Output:
             item = t.payload[0] if len(t.payload) == 1 else None
@@ -1058,6 +1060,7 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
                     carrier = pack(lookup(item))[1]
                     payload = sent[item] = (Abs(((clause("z"), carrier),), forward),)
                 return Tail(go(t.cont), Output, t.subject, payload)
+            kept.append(Output(t.subject, t.payload, Inact()))  # its payload is kept
         elif cls is Input:
             if len(t.binders) == 1 and t.binders[0] in types:
                 hot, carrier, _ = pack(lookup(t.binders[0]))
@@ -1078,7 +1081,7 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
     out = trampoline(go(term))
     if any(
         isinstance(v, Output) and any(isinstance(p, Name) for p in v.payload)
-        for v in iter_subterms(out)
+        for k in kept for v in iter_subterms(k)
     ):
         raise TermError("first-order payloads survived the encoding")
     return out

@@ -144,6 +144,16 @@ def test_run_work_grows_linearly(build):
     assert 0 < large <= 4.5 * small
 
 
+def test_run_renders_nothing_until_a_state_is_read():
+    """`run` never asks for the order of a state; the states it reached
+    are sorted, and normal, when they are read."""
+    p, steps = deep(400)
+    t = run(p, fuel=steps + 1)
+    assert t.stats["nodes_rendered"] == t.stats["full_renderings"] == 0
+    for x in (t.initial, *(s.term for s in t.steps), t.final):
+        assert normalize(x) == x
+
+
 def test_trace_and_exploration_count_their_work():
     p, steps = deep(12)
     t = run(p, fuel=steps + 1)

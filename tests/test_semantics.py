@@ -33,6 +33,7 @@ from minsess.types import (
 from minsess.semantics import (
     Redex,
     SemanticsError,
+    _det_rank,
     apply_redex,
     canonical_key,
     enabled,
@@ -458,6 +459,61 @@ class TestPolicy:
         t = run(p, fuel=10)
         assert [x.kind for x in t.steps] == ["comm", "beta", "comm"]
         assert t.steps[0].subject == str(c1)
+
+
+def beta(body):
+    return App(Abs(((Var("z"), BOOL),), body), (Lit(True),))
+
+
+class TestTies:
+    """`run` ranks its candidates by subject and sorts the state only when
+    two of them tie; each case writes or makes the tied components in the
+    reverse of their sort order, so only the sorted positions pick right."""
+
+    def assert_run_follows_the_policy(self, p):
+        t = run(p)
+        state = normalize(p)
+        assert t.initial == state
+        for step in t.steps:
+            r = min(enabled(state), key=_det_rank)
+            subject = None if r.subject is None else str(r.subject)
+            assert (step.kind, step.subject, step.label) == (r.kind, subject, r.label)
+            state = apply_redex(state, r)
+            assert step.term == state
+        assert t.final == state and t.status == "inert"
+        return t
+
+    def test_two_betas(self):
+        s, r = sname("s"), sname("r")
+        # the beta on r sorts first
+        t = self.assert_run_follows_the_policy(
+            Par(beta(Output(s, (SINK,), Inact())), beta(Output(r, (SINK,), Inact())))
+        )
+        assert [x.kind for x in t.steps] == ["beta", "beta"]
+
+    def test_two_senders_on_a_shared_name(self):
+        s, a = sname("s"), Name("a", None, False, "shared")
+        # the comm on s makes a!<2> and then a!<1>, which sorts first
+        p = Res(s, SOut((U_SINK,), END), parallel([
+            Output(s, (SINK,), Output(a, (Lit(2),), Inact())),
+            Input(s.dualized(), (Var("x"),), Output(a, (Lit(1),), Inact())),
+            Input(a, (Var("y"),), Inact()),
+        ]))
+        t = self.assert_run_follows_the_policy(p)
+        assert t.final == Output(a, (Lit(2),), Inact())
+
+    def test_a_rename_avoids_a_name_of_the_tail(self):
+        g, g1 = sname("g"), sname("g'")
+        # the betas tie, so the state is sorted; the one that sorts first
+        # makes a g' component, which waits in the tail while the other
+        # releases a g that collides with the free ~g and takes g''
+        p = parallel([
+            Input(g.dualized(), (Var("x"),), Inact()),
+            beta(Res(g, SOut((U_SINK,), END), Output(g, (SINK,), Inact()))),
+            beta(Output(g1, (SINK,), Inact())),
+        ])
+        t = self.assert_run_follows_the_policy(p)
+        assert isinstance(t.final, Res) and t.final.binder == sname("g''")
 
 
 class TestRun:

@@ -12,8 +12,11 @@ and gives one item of what it computed:
            decomposition of the session type, its dual, and the types the
            restrictions and abstractions of the checked process hold in
            preorder, each as the count and a sha256 of their `canon_key`s;
-  run      the status, then a line per step: its kind, subject, label
-           and the key of the state it reached;
+  run      the template of the initial state, the status, then a line
+           per step: its kind, subject, label and the key of the state it
+           reached, and a line with the template of that state's term;
+           each template is of the term as `run` materialized it, so it
+           shows the component order that the key re-sorts away;
   explore  a line per state: its depth, terminal status and key, then
            the edge count and whether the exploration was truncated.
 
@@ -64,9 +67,11 @@ def check_lines(lib, op):
 
 def run_lines(lib, op):
     trace = lib.sem.run(op.inputs["process"])
+    yield f"initial {lib.tm.template(trace.initial)[0]}"
     yield trace.status
     for s in trace.steps:
         yield f"step {s.index} {s.kind} {s.subject} {s.label} {lib.sem.canonical_key(s.term)}"
+        yield f"term {s.index} {lib.tm.template(s.term)[0]}"
 
 
 def explore_lines(lib, op):
