@@ -32,7 +32,8 @@ makes:
   stable sort would. So `explore`, which keys each state, sorts each one;
   `run` picks each redex from an index of senders, receivers and betas
   that each step updates, and sorts a state only to break a tie of the
-  policy or when its term is read.
+  policy or when its term is read, then from the order of the state it
+  stepped from, with only the step's new components to merge in.
 - The components a redex makes are recorded with the component that
   fired it, under its partner and label, and reused, renderings included,
   in every state of `explore` where the same components meet again. Only
@@ -40,6 +41,13 @@ makes:
   hoisting and collision renaming depend on the state; the free names of
   the others are among the consumed components' names, so which of them
   are hoisted does not depend on the state either.
+- A key depends only on the components' terms and slots, and a kept
+  component keeps its slots, so `explore` indexes the key of each state it
+  keys by the state's components as objects. When a redex reuses recorded
+  components, the state it reaches holds the state's components less
+  those it consumes plus those recorded; if that multiset is indexed, the
+  edge takes the key it maps to and is neither fired, normalized, sorted
+  nor keyed. Converging interleavings of independent redexes meet this way.
 
 The identifiers in use and the reserved indices of the state are gathered
 only when a hoisted binder collides. Every cache lives in the soups of one
@@ -157,11 +165,12 @@ class _Soup:
     under `source`, the fired component and its key, when it can be
     reused. A normal soup is not changed, except that `sort` merges its
     tail in and that `run`, which keeps one soup per step for its term,
-    drops the counts of a soup it has stepped from: `fresh` lists the
-    components its normalization added."""
+    drops the counts of a soup it has stepped from and links each soup to
+    it as `prev`: `fresh` lists the components its normalization added,
+    which are its last ones until it is sorted."""
 
     __slots__ = ("binders", "comps", "counts", "memo", "raw", "made", "dying", "source",
-                 "fresh", "nsorted", "_order", "_term")
+                 "fresh", "nsorted", "prev", "_order", "_term")
 
     def __init__(self, binders: dict, comps: list, counts: Optional[dict], memo: Memo,
                  raw: Optional[tuple] = None, made: tuple = (), dying: tuple = (),
@@ -169,12 +178,39 @@ class _Soup:
         self.binders, self.comps, self.counts, self.memo = binders, comps, counts, memo
         self.raw, self.made, self.dying, self.source = raw, made, dying, source
         self.fresh, self.nsorted = fresh, nsorted
+        self.prev: Optional[_Soup] = None
         self._order: Optional[tuple] = None
         self._term = None
 
     def sort(self) -> list:
         """Merge the tail in, each component after every one that does not
-        sort after it, and give the components, now in order."""
+        sort after it, and give the components, now in order.
+
+        A soup of `run` whose kept components, those before `fresh`, are
+        not in order takes their order from `prev`, the soup it stepped
+        from, with what the step consumed left out (no component occurs
+        twice in a state of `run`, which reuses none); `prev` is sorted
+        first, the same way. So the soups are walked back to the first
+        whose kept components are in order, and then forward, each merging
+        in only the components its step made."""
+        if self.nsorted < len(self.comps):
+            chain = [self]
+            while chain[-1].prev is not None and chain[-1].nsorted < chain[-1]._nkept():
+                chain.append(chain[-1].prev)
+            *later, first = chain
+            first._merge()
+            for s in reversed(later):
+                comps, n = s.comps, s._nkept()
+                kept = set(comps[:n])
+                comps[:n] = [c for c in s.prev.comps if c in kept]
+                s.nsorted = n
+                s._merge()
+        return self.comps
+
+    def _nkept(self) -> int:
+        return len(self.comps) - len(self.fresh)
+
+    def _merge(self) -> None:
         comps, n = self.comps, self.nsorted
         if n < len(comps):
             tail = comps[n:]
@@ -182,7 +218,6 @@ class _Soup:
             for c in tail:
                 insort_right(comps, c)
             self.nsorted = len(comps)
-        return comps
 
     def order(self) -> tuple:
         """The binders in order of first use by the sorted components."""
@@ -480,8 +515,7 @@ def _fire(soup: _Soup, r: Redex) -> _Soup:
             pos = c.names[0]  # the positive endpoint of the subject
             if pos in binders:
                 binders[pos] = _advance(binders[pos], out.subject, r.label)
-    key = (gone[1] if r.j is not None else None, r.label)
-    made = c.fired.get(key) if c.fired is not None else None
+    key, made = _recorded(comps, r)
     if made is not None:
         memo.stats["steps_reused"] += 1
         raw, source = (), None
@@ -498,6 +532,14 @@ def _fire(soup: _Soup, r: Redex) -> _Soup:
                 del counts[n]
                 dying.append(n)
     return _Soup(binders, kept, counts, memo, raw, made, tuple(dying), source, nsorted=nsorted)
+
+
+def _recorded(comps: list, r: Redex) -> tuple:
+    """r's entry in the `fired` table of its sender or application, whose
+    positions are in comps, and the components recorded there, or None."""
+    c = comps[r.i]
+    key = (comps[r.j] if r.j is not None else None, r.label)
+    return key, (c.fired.get(key) if c.fired is not None else None)
 
 
 def _produce(r: Redex, gone: tuple, memo: Memo) -> tuple:
@@ -657,6 +699,7 @@ def run(p, fuel: int = 200) -> Trace:
     while (r := redexes.first(soup)) is not None and len(steps) < fuel:
         gone = [soup.comps[r.i]] if r.j is None else [soup.comps[r.i], soup.comps[r.j]]
         last, soup = soup, normalize(_fire(soup, r))
+        soup.prev = last
         redexes.update(gone, soup.fresh)
         # what is left of the last state only materializes its term
         last.counts = None
@@ -666,6 +709,21 @@ def run(p, fuel: int = 200) -> Trace:
         steps.append(Step(len(steps) + 1, r.kind, subject, r.label, soup))
     status = "fuel" if r is not None else _terminal_status(soup)
     return Trace(steps, status, dict.fromkeys(_COUNTERS, 0) | soup.memo.stats, start)
+
+
+def _ident(comps: list) -> tuple:
+    """A state's components as a multiset of objects, ordered by id; held
+    as a key, it keeps them alive, so no id is reused."""
+    return tuple(sorted(comps, key=id))
+
+
+def _reached(comps: list, r: Redex, made: tuple) -> tuple:
+    """The `_ident` of the state that r, whose positions are in comps,
+    reaches when it reuses the components made."""
+    after = [*comps, *made]
+    for n in sorted((r.i,) if r.j is None else (r.i, r.j), reverse=True):
+        del after[n]
+    return _ident(after)
 
 
 @dataclass
@@ -683,9 +741,16 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     reduction steps, memoized on the canonical erased form. A redex whose
     products have no restriction on their parallel spine makes its
     components once and reuses them in every state where it fires again.
+    The call keeps one index from the components of each state it keyed,
+    as objects, to the state's key: an edge whose redex reuses components
+    and whose state to reach holds components indexed so takes that key
+    without firing, and meets the same dedup and `max_states` tests as
+    every other edge.
     `stats` counts what `run`'s does, and `dedup_hits`: edges to a state
     already seen; `steps_reused`: edges whose redex reused its components;
-    `cut_by_fuel`: states left unexpanded at depth `fuel`; and
+    `identity_hits`: edges resolved by the index, which are not
+    normalized, so normalizations plus identity hits are the edges plus
+    one; `cut_by_fuel`: states left unexpanded at depth `fuel`; and
     `cut_by_max_states`: states reached but left out because `max_states`
     were already kept. `truncated` is set when either cut is not zero."""
     s0 = _as_soup(p)
@@ -696,7 +761,8 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     cut_by_fuel = 0
     cut_by_max_states: set = set()
     frontier = [(k0, s0)]
-    edges = hits = 0
+    index = {_ident(s0.comps): k0}
+    edges = hits = resolved = 0
     while frontier:
         nxt: list = []
         for k, s in frontier:
@@ -709,20 +775,29 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
                 cut_by_fuel += 1
                 continue
             for r in rs:
-                t = apply_redex(s, r)
                 edges += 1
-                tk = canonical_key(t)
+                _, made = _recorded(s.comps, r)
+                tk = None if made is None else index.get(_reached(s.comps, r, made))
+                if tk is not None:
+                    resolved += 1
+                    s0.memo.stats["steps_reused"] += 1
+                else:
+                    t = apply_redex(s, r)
+                    tk = canonical_key(t)
+                    index[_ident(t.comps)] = tk
                 if tk in states:
                     hits += 1
                     continue
                 if len(states) >= max_states:
                     cut_by_max_states.add(tk)
                     continue
+                # an indexed key was kept or cut, so t is this edge's state
                 states[tk] = t.term()
                 depth[tk] = d + 1
                 nxt.append((tk, t))
         frontier = nxt
     stats = dict(dict.fromkeys(_COUNTERS, 0) | s0.memo.stats, dedup_hits=hits,
-                 cut_by_fuel=cut_by_fuel, cut_by_max_states=len(cut_by_max_states))
+                 identity_hits=resolved, cut_by_fuel=cut_by_fuel,
+                 cut_by_max_states=len(cut_by_max_states))
     truncated = bool(cut_by_fuel or cut_by_max_states)
     return Exploration(states, depth, terminals, truncated, edges, stats)

@@ -484,13 +484,17 @@ def test_explore_agrees_with_the_term_path(p):
     fires again, reaches the states, depths, edges and terminals of a
     search in which every step builds its state anew. Two clashing
     sessions side by side meet reused redexes with ones whose released
-    restrictions are hoisted and renamed."""
+    restrictions are hoisted and renamed. An edge that `explore` resolves
+    by the components it would reach is not normalized, and every stored
+    state has the key it is stored under."""
     ex = explore(p)
     assert not ex.truncated
     depth, terminals, edges = _term_path_closure(p)
     assert ex.depth == depth and set(ex.states) == set(depth)
     assert ex.terminals == terminals
     assert ex.edges == edges
+    assert all(canonical_key(t) == k for k, t in ex.states.items())
+    assert ex.stats["normalizations"] + ex.stats["identity_hits"] == ex.edges + 1
 
 
 def _payloads(depth: int, labels):

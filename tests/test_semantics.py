@@ -634,6 +634,17 @@ class TestExplore:
         assert (ex.stats["cut_by_fuel"], ex.stats["cut_by_max_states"]) == (0, 2)
         assert ex.truncated
 
+    def test_an_edge_resolved_by_its_components_meets_the_cut(self):
+        # three sessions: states at depth 2 are reached along two
+        # interleavings, the second resolved by the components it reaches
+        sessions = (("s", True), ("r", False), ("q", True))
+        p = parallel([bool_session(sname(c), v) for c, v in sessions])
+        ex = explore(p, max_states=4)
+        assert (len(ex.states), ex.edges) == (4, 9)
+        # those edges reach states left out, and are cut, not deduplicated
+        assert ex.stats["identity_hits"] == 3
+        assert (ex.stats["dedup_hits"], ex.stats["cut_by_max_states"]) == (0, 2)
+
     def test_products_with_a_restriction_are_not_reused(self):
         # hoisting a released binder depends on the state, so a comm that
         # releases one makes its components afresh wherever it fires
@@ -641,7 +652,7 @@ class TestExplore:
         p = Par(bool_session(sname("s"), True, dead), bool_session(sname("r"), False, dead))
         ex = explore(p)
         assert (len(ex.states), ex.edges) == (4, 4)
-        assert ex.stats["steps_reused"] == 0
+        assert ex.stats["steps_reused"] == ex.stats["identity_hits"] == 0
 
     def test_what_a_sender_made_is_kept_apart_per_partner(self):
         # two servers on one shared name: the client's two redexes make

@@ -17,8 +17,11 @@ and gives one item of what it computed:
            reached, and a line with the template of that state's term;
            each template is of the term as `run` materialized it, so it
            shows the component order that the key re-sorts away;
-  explore  a line per state: its depth, terminal status and key, then
-           the edge count and whether the exploration was truncated.
+  explore  two lines per state: its depth, terminal status and key, and
+           the template of the term stored under that key with the count
+           and sha256 of the types its restrictions and abstractions hold,
+           which the template erases; then the edge count and whether the
+           exploration was truncated.
 
 The last line gives the number of lines before it and their sha256, so two
 checkouts compute the same outputs when their dumps compare equal under
@@ -78,6 +81,8 @@ def explore_lines(lib, op):
     ex = lib.sem.explore(op.inputs["process"])
     for k in ex.states:
         yield f"state {ex.depth[k]} {ex.terminals.get(k)} {k}"
+        t = ex.states[k]
+        yield f"stored {lib.tm.template(t)[0]} {keyed(lib, held_types(lib, t))}"
     yield f"edges {ex.edges} truncated {ex.truncated}"
 
 
