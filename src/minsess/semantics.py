@@ -18,9 +18,10 @@ and `explore` step on soups, and a step costs what its redex consumes and
 makes:
 
 - Free names come from the call's memo (`terms.Memo`), which scans each
-  subterm once, and `terms.substitute` returns a subterm in which nothing
-  it replaces is free as it is, so a comm rebuilds only the paths to the
-  received variable.
+  subterm once and maps each name to one object, its positive endpoint,
+  so maps keyed by names match by identity; `terms.substitute` returns a
+  subterm in which nothing it replaces is free as it is, so a comm
+  rebuilds only the paths to the received variable.
 - A component's sort key is a lazy `terms.Rendering` of it, hoisted names
   as n0; components whose keys tie are ordered by the rendering with every
   name literal. Two renderings are compared by rendering both only up to
@@ -31,9 +32,10 @@ makes:
   into the sorted components, whose hoisted names cannot change, as a
   stable sort would. So `explore`, which keys each state, sorts each one;
   `run` picks each redex from an index of senders, receivers and betas
-  that each step updates, and sorts a state only to break a tie of the
-  policy or when its term is read, then from the order of the state it
-  stepped from, with only the step's new components to merge in.
+  that each step updates (`enabled` and the index read the `role` each
+  component is given when made), and sorts a state only to break a tie of
+  the policy or when its term is read, then from the order of the state
+  it stepped from, with only the step's new components to merge in.
 - The components a redex makes are recorded with the component that
   fired it, under its partner and label, and reused, renderings included,
   in every state of `explore` where the same components meet again. Only
@@ -43,16 +45,17 @@ makes:
   are hoisted does not depend on the state either.
 - A key depends only on the components' terms and slots, and a kept
   component keeps its slots, so `explore` indexes the key of each state it
-  keys by the state's components as objects. When a redex reuses recorded
-  components, the state it reaches holds the state's components less
-  those it consumes plus those recorded; if that multiset is indexed, the
-  edge takes the key it maps to and is neither fired, normalized, sorted
-  nor keyed. Converging interleavings of independent redexes meet this way.
+  keeps or cuts by the state's components as objects. When a redex reuses
+  recorded components, the state it reaches holds the state's components
+  less those it consumes plus those recorded; if that multiset is indexed,
+  the edge takes the key it maps to and is neither fired, normalized,
+  sorted nor keyed. Converging interleavings of independent redexes meet
+  this way.
+- `explore` keeps each state as its soup, and `Exploration.states`
+  materializes a state's term when it is read, as `run`'s steps do.
 
-The identifiers in use and the reserved indices of the state are gathered
-only when a hoisted binder collides. Every cache lives in the soups of one
-`run` or `explore` call, or of one call of another entry point, and nowhere
-else.
+Every cache lives in the soups of one `run` or `explore` call, or of one
+call of another entry point, and nowhere else.
 
 The deterministic policy orders enabled redexes:
   1. reserved bookkeeping channels ("#..."), highest index first,
@@ -64,6 +67,7 @@ The deterministic policy orders enabled redexes:
 from __future__ import annotations
 
 from bisect import insort_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -100,16 +104,27 @@ class SemanticsError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _positive(n: Name) -> Name:
-    return n.dualized() if n.dual else n
+def _positive(n: Name, memo: Memo) -> Name:
+    """The call's one object for n's positive endpoint, from `memo.names`."""
+    p = memo.names.get(n)
+    if p is None:
+        p = n.dualized() if n.dual else n
+        p = memo.names[n] = memo.names.setdefault(p, p)
+    return p
+
+
+_ROLES = {App: "beta", Output: "send", Select: "send", Input: "receive", Branch: "receive"}
 
 
 class _Comp:
     """One top-level component of a soup and what is known about it.
 
     `names` are the positive endpoints of its free names, in first-
-    occurrence order, from the call's memo; `slots` are those that are
-    hoisted binders. A component is only made by `_normalize`, and the
+    occurrence order, each the call's one object for it (see `_positive`);
+    `slots` are those that are hoisted binders. `role` is its part in a
+    redex, "beta" for an application of an abstraction, "send" or
+    "receive" for a prefix on a name, whose positive endpoint is then
+    `names[0]`, else None. A component is only made by `_normalize`, and the
     binders among its free names never change while it is kept: a new
     binder that collides with one of its names is renamed. So its sort key
     is fixed: `key`, the lazy `terms.Rendering` over its slots, ordered
@@ -120,11 +135,17 @@ class _Comp:
     with that partner made, when they can be reused in every state where
     the redex fires (see `_normalize`); the partner is None for a beta."""
 
-    __slots__ = ("term", "names", "slots", "fired", "_memo", "_key", "_literal")
+    __slots__ = ("term", "names", "slots", "role", "fired", "_memo", "_key", "_literal")
 
     def __init__(self, term, memo: Memo) -> None:
         self.term = term
-        self.names = tuple(dict.fromkeys(_positive(n) for n in free_names(term, memo)))
+        self.names = tuple(dict.fromkeys(_positive(n, memo) for n in free_names(term, memo)))
+        cls = term.__class__
+        if cls is App:
+            live = term.fun.__class__ is Abs
+        else:
+            live = cls in _ROLES and term.subject.__class__ is Name
+        self.role = _ROLES[cls] if live else None
         self.slots: tuple = ()
         self.fired: Optional[dict] = None
         self._memo = memo
@@ -164,7 +185,8 @@ class _Soup:
     (counts that fell to zero) for dead binders and recording what it made
     under `source`, the fired component and its key, when it can be
     reused. A normal soup is not changed, except that `sort` merges its
-    tail in and that `run`, which keeps one soup per step for its term,
+    tail in, that `explore` drops the counts and `fresh` of a soup it has
+    expanded, and that `run`, which keeps one soup per step for its term,
     drops the counts of a soup it has stepped from and links each soup to
     it as `prev`: `fresh` lists the components its normalization added,
     which are its last ones until it is sorted."""
@@ -269,13 +291,13 @@ def _normalize(soup: _Soup) -> _Soup:
         if cls is Par:
             stack += (t.right, t.left)
         elif cls is Res:
-            b, body = t.binder, t.body
+            b, body = _positive(t.binder, memo), t.body
             if claims is None:
                 claims = _Claims(soup)
             fresh = claims.fresh(b)
             if fresh is not None:
                 body = substitute(body, tm.rename_channel(b, fresh), memo)
-                b = fresh
+                b = _positive(fresh, memo)
             binders[b] = t.annot
             claimed.append(b)
             stack.append(body)
@@ -351,7 +373,7 @@ def _spine_free(raw: tuple, memo: Memo) -> set:
         if cls is Par:
             stack += (t.right, t.left)
         elif cls is Res:
-            b = t.binder
+            b = _positive(t.binder, memo)
             bound[b] = bound.get(b, 0) + 1
             stack += ((b,), t.body)
         elif cls is tuple:  # the scope of a binder ends
@@ -360,7 +382,7 @@ def _spine_free(raw: tuple, memo: Memo) -> set:
             if not bound[b]:
                 del bound[b]
         else:
-            out.update(p for p in map(_positive, free_names(t, memo)) if p not in bound)
+            out.update(p for n in free_names(t, memo) if (p := _positive(n, memo)) not in bound)
     return out
 
 
@@ -427,20 +449,19 @@ def _meets(out, inp) -> bool:
 
 
 def enabled(p) -> list[Redex]:
-    """Every redex of the state. A prefix's subject, a free name, has its
-    positive endpoint first among its component's names."""
+    """Every redex of the state, found by its components' roles."""
     comps = _as_soup(p).sort()
     receivers: dict[Name, list[int]] = {}
     for j, d in enumerate(comps):
-        if isinstance(d.term, (Input, Branch)) and isinstance(d.term.subject, Name):
+        if d.role == "receive":
             receivers.setdefault(d.names[0], []).append(j)
     out: list[Redex] = []
     for i, c in enumerate(comps):
-        t = c.term
-        if isinstance(t, App) and isinstance(t.fun, Abs):
+        role = c.role
+        if role == "beta":
             out.append(Redex("beta", i))
-        elif isinstance(t, (Output, Select)) and isinstance(t.subject, Name):
-            n = c.names[0]
+        elif role == "send":
+            t, n = c.term, c.names[0]
             for j in receivers.get(n, ()):
                 if _meets(t, comps[j].term):
                     out.append(Redex("comm", i, j, n) if t.__class__ is Output else
@@ -580,13 +601,12 @@ class _Redexes:
         touched = set()
         for cs, add in ((gone, False), (made, True)):
             for c in cs:
-                t = c.term
-                cls = t.__class__
-                if cls is App and isinstance(t.fun, Abs):
+                role = c.role
+                if role == "beta":
                     group = self.betas
-                elif cls in (Output, Select, Input, Branch) and t.subject.__class__ is Name:
+                elif role is not None:
                     n = c.names[0]
-                    by_subject = self.senders if cls is Output or cls is Select else self.receivers
+                    by_subject = self.senders if role == "send" else self.receivers
                     group = by_subject.setdefault(n, [])
                     touched.add(n)
                 else:
@@ -726,9 +746,35 @@ def _reached(comps: list, r: Redex, made: tuple) -> tuple:
     return _ident(after)
 
 
+class _States(Mapping):
+    """`Exploration.states`: each state's soup by its key."""
+
+    def __init__(self, soups: dict) -> None:
+        self._soups = soups
+
+    def __getitem__(self, key):
+        return self._soups[key].term()
+
+    def __iter__(self):
+        return iter(self._soups)
+
+    def __len__(self) -> int:
+        return len(self._soups)
+
+    def __contains__(self, key) -> bool:
+        return key in self._soups
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass
 class Exploration:
-    states: dict
+    """`states` is a read-only mapping from each kept state's key to its
+    term: `len`, iteration and `in` read only the keys, and a term is
+    materialized from the state's soup when first read, and then kept."""
+
+    states: Mapping
     depth: dict
     terminals: dict  # key -> "inert" | "stuck"
     truncated: bool
@@ -738,14 +784,16 @@ class Exploration:
 
 def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     """Breadth-first closure of the reachable state space up to `fuel`
-    reduction steps, memoized on the canonical erased form. A redex whose
-    products have no restriction on their parallel spine makes its
-    components once and reuses them in every state where it fires again.
-    The call keeps one index from the components of each state it keyed,
-    as objects, to the state's key: an edge whose redex reuses components
-    and whose state to reach holds components indexed so takes that key
-    without firing, and meets the same dedup and `max_states` tests as
-    every other edge.
+    reduction steps, memoized on the canonical erased form; `max_states`,
+    at least 1, bounds the states kept. A redex whose products have no
+    restriction on their parallel spine makes its components once and
+    reuses them in every state where it fires again. The call keeps one
+    index from the components of each state it kept or cut, as objects, to
+    the state's key: an edge whose redex reuses components and whose state
+    to reach holds components indexed so takes that key without firing,
+    and meets the same dedup and `max_states` tests as every other edge.
+    A kept state stays a soup, with its counts and `fresh` dropped once it
+    is expanded.
     `stats` counts what `run`'s does, and `dedup_hits`: edges to a state
     already seen; `steps_reused`: edges whose redex reused its components;
     `identity_hits`: edges resolved by the index, which are not
@@ -753,9 +801,11 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     one; `cut_by_fuel`: states left unexpanded at depth `fuel`; and
     `cut_by_max_states`: states reached but left out because `max_states`
     were already kept. `truncated` is set when either cut is not zero."""
+    if max_states < 1:
+        raise SemanticsError(f"max_states must be at least 1, not {max_states}")
     s0 = _as_soup(p)
     k0 = canonical_key(s0)
-    states = {k0: s0.term()}
+    soups = {k0: s0}
     depth = {k0: 0}
     terminals: dict = {}
     cut_by_fuel = 0
@@ -770,34 +820,38 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
             rs = enabled(s)
             if not rs:
                 terminals[k] = _terminal_status(s)
-                continue
-            if d >= fuel:
+            elif d >= fuel:
                 cut_by_fuel += 1
-                continue
-            for r in rs:
-                edges += 1
-                _, made = _recorded(s.comps, r)
-                tk = None if made is None else index.get(_reached(s.comps, r, made))
-                if tk is not None:
-                    resolved += 1
-                    s0.memo.stats["steps_reused"] += 1
-                else:
-                    t = apply_redex(s, r)
-                    tk = canonical_key(t)
-                    index[_ident(t.comps)] = tk
-                if tk in states:
-                    hits += 1
-                    continue
-                if len(states) >= max_states:
-                    cut_by_max_states.add(tk)
-                    continue
-                # an indexed key was kept or cut, so t is this edge's state
-                states[tk] = t.term()
-                depth[tk] = d + 1
-                nxt.append((tk, t))
+            else:
+                for r in rs:
+                    edges += 1
+                    _, made = _recorded(s.comps, r)
+                    ident = None if made is None else _reached(s.comps, r, made)
+                    tk = None if ident is None else index.get(ident)
+                    t = None
+                    if tk is not None:
+                        resolved += 1
+                        s0.memo.stats["steps_reused"] += 1
+                    else:
+                        t = apply_redex(s, r)
+                        tk = canonical_key(t)
+                    if tk in soups:
+                        hits += 1
+                        continue
+                    if t is not None:  # fired: its state is new or was cut
+                        index[_ident(t.comps) if ident is None else ident] = tk
+                    if len(soups) >= max_states:
+                        cut_by_max_states.add(tk)
+                        continue
+                    # an indexed key was kept or cut, so t is this edge's state
+                    soups[tk] = t
+                    depth[tk] = d + 1
+                    nxt.append((tk, t))
+            # what is left of a state only materializes its term
+            s.counts, s.fresh = None, ()
         frontier = nxt
     stats = dict(dict.fromkeys(_COUNTERS, 0) | s0.memo.stats, dedup_hits=hits,
                  identity_hits=resolved, cut_by_fuel=cut_by_fuel,
                  cut_by_max_states=len(cut_by_max_states))
     truncated = bool(cut_by_fuel or cut_by_max_states)
-    return Exploration(states, depth, terminals, truncated, edges, stats)
+    return Exploration(_States(soups), depth, terminals, truncated, edges, stats)

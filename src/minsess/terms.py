@@ -336,15 +336,18 @@ class Memo:
     and the subterm itself, which keeps the id from being reused. Each subterm is scanned once;
     a term that shares subterms with one already scanned costs only its
     new nodes. `stats` counts the nodes scanned, substituted and rendered,
-    and what the semantics layer adds. A `run` or `explore` call owns one
-    Memo; every other entry point makes its own, so nothing outlives a
-    call."""
+    and what the semantics layer adds. `names` maps each name the
+    semantics layer meets, either polarity, to the one object of its
+    positive endpoint, so its maps match names by identity. A `run` or
+    `explore` call owns one Memo; every other entry point makes its own, so
+    nothing outlives a call."""
 
-    __slots__ = ("free", "stats")
+    __slots__ = ("free", "stats", "names")
 
     def __init__(self) -> None:
         self.free: dict = {}
         self.stats: Counter = Counter()
+        self.names: dict = {}
 
 
 _LEAVES = (Name, Var, Lit, Inact)

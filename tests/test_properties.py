@@ -11,7 +11,9 @@ top-level restrictions. Every state a protocol reaches must be normal and
 well typed, and `explore`, which reuses what a redex makes, must reach
 what a search that builds every state from its term reaches. A protocol is alpha-equal to its variant with every binder
 renamed and to its image under the identity substitution. Checking a
-protocol twice gives the same verdict.
+protocol twice gives the same verdict. `explore` and `run` compute
+and count the same on a protocol whether it shares one object per name or
+holds a new one at every occurrence.
 
 Substitution avoids capture: a protocol opened up with a free name and
 free variables beside every binder's scope, under a substitution whose
@@ -32,6 +34,7 @@ continuation's parts.
 """
 
 import copy
+import dataclasses
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -56,6 +59,7 @@ from minsess.terms import (
     parallel,
     prop_name,
     substitute,
+    template,
 )
 from minsess.typecheck import check_process
 from minsess.types import (
@@ -80,6 +84,7 @@ from minsess.types import (
     is_tail_recursive,
     unfold,
 )
+from test_semantics import bool_session
 
 END = SEnd()
 LIN_INT = TArrow((INT,), shared=False)
@@ -495,6 +500,47 @@ def test_explore_agrees_with_the_term_path(p):
     assert ex.edges == edges
     assert all(canonical_key(t) == k for k, t in ex.states.items())
     assert ex.stats["normalizations"] + ex.stats["identity_hits"] == ex.edges + 1
+
+
+def _rebuilt(t, name):
+    """t with each occurrence n of a name replaced by name(n); types are
+    kept as they are."""
+    if isinstance(t, Name):
+        return name(t)
+    if isinstance(t, tuple):
+        return tuple(_rebuilt(x, name) for x in t)
+    if isinstance(t, (Output, Input, Select, Branch, App, Par, Res, Abs)):
+        fields = dataclasses.fields(t)
+        return type(t)(**{f.name: _rebuilt(getattr(t, f.name), name) for f in fields if f.init})
+    return t
+
+
+def _outcome(p) -> tuple:
+    """What `explore` and `run` compute on p, and the work they count."""
+    ex, trace = explore(p), run(p)
+    steps = [(s.kind, s.subject, s.label, canonical_key(s.term)) for s in trace.steps]
+    return (list(ex.states), ex.depth, ex.terminals, ex.edges, ex.stats,
+            [template(t)[0] for t in ex.states.values()], steps, trace.status, trace.stats)
+
+
+@SETTINGS
+@example(Par(bool_session(sname("s"), True), bool_session(sname("r"), False)))
+@example(Par(bool_session(sname("s"), True), bool_session(sname("s"), True)))
+@example(_rpc_pair("a", "b"))
+@example(_rpc_pair("a", "a"))
+@given(st.one_of(
+    protocols, relays(),
+    st.tuples(clashing_sessions(), clashing_sessions()).map(lambda pq: Par(*pq)),
+))
+def test_names_are_matched_alike_whether_or_not_their_objects_are_shared(p):
+    """A call keeps one object per name, so a protocol built with one
+    object per name and one built with a new object at every occurrence,
+    both endpoints of a session included, explore and run alike, with the
+    same counts of work."""
+    one: dict = {}
+    shared = _rebuilt(p, lambda n: one.setdefault(n, n))
+    unshared = _rebuilt(p, lambda n: Name(n.base, n.index, n.dual, n.kind))
+    assert _outcome(shared) == _outcome(unshared)
 
 
 def _payloads(depth: int, labels):

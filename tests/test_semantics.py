@@ -41,6 +41,7 @@ from minsess.semantics import (
     normalize,
     run,
 )
+from minsess import semantics
 from minsess.typecheck import check_process
 
 END = SEnd()
@@ -570,6 +571,14 @@ def bool_session(c, v, rest_in=None):
     return Res(c, SOut((BOOL,), END), comm_pair(c, payload=Lit(v), rest_in=rest_in))
 
 
+def rpc_session(c, v):
+    """(νc:!⟨Bool⟩;?⟨Bool⟩;end)(c!⟨v⟩.c?(y).0 | c̄?(x).c̄!⟨x⟩.0)"""
+    x, y = Var("x"), Var("y")
+    client = Output(c, (Lit(v),), Input(c, (y,), Inact()))
+    server = Input(c.dualized(), (x,), Output(c.dualized(), (x,), Inact()))
+    return Res(c, SOut((BOOL,), SIn((BOOL,), END)), Par(client, server))
+
+
 class TestMultiStep:
     """Each comm instantiates an input continuation that itself starts with
     an input, so substitution must pass under an input prefix."""
@@ -644,6 +653,35 @@ class TestExplore:
         # those edges reach states left out, and are cut, not deduplicated
         assert ex.stats["identity_hits"] == 3
         assert (ex.stats["dedup_hits"], ex.stats["cut_by_max_states"]) == (0, 2)
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_max_states_below_one_raises(self, bound):
+        with pytest.raises(SemanticsError, match="max_states"):
+            explore(bool_session(sname("s"), True), max_states=bound)
+
+    def test_states_are_materialized_when_read(self, monkeypatch):
+        sessions = (("s", True), ("r", False), ("q", True))
+        p = parallel([rpc_session(sname(c), v) for c, v in sessions])
+        calls = []
+
+        def counted(parts):
+            calls.append(None)
+            return parallel(parts)
+
+        monkeypatch.setattr(semantics, "parallel", counted)
+        ex = explore(p)
+        keys = list(ex.states)
+        assert len(ex.states) == len(set(keys)) > 1
+        assert all(k in ex.states for k in keys) and "?" not in ex.states
+        assert not calls
+        values = [ex.states[k] for k in keys]
+        assert len(calls) == len(keys)
+        # a value read again is the term kept from the first read
+        assert all(ex.states[k] is t for k, t in zip(keys, values))
+        assert repr(ex.states) == repr(dict(zip(keys, values)))
+        assert len(calls) == len(keys)
+        for k, t in zip(keys, values):
+            assert normalize(t) == t and canonical_key(t) == k
 
     def test_products_with_a_restriction_are_not_reused(self):
         # hoisting a released binder depends on the state, so a comm that

@@ -16,12 +16,17 @@ and gives one item of what it computed:
            per step: its kind, subject, label and the key of the state it
            reached, and a line with the template of that state's term;
            each template is of the term as `run` materialized it, so it
-           shows the component order that the key re-sorts away;
+           shows the component order that the key re-sorts away; then
+           a line with every counter of the run's `stats`;
   explore  two lines per state: its depth, terminal status and key, and
            the template of the term stored under that key with the count
            and sha256 of the types its restrictions and abstractions hold,
            which the template erases; then the edge count and whether the
-           exploration was truncated.
+           exploration was truncated, and a line with every counter of its
+           `stats`.
+
+Counters are printed sorted by name, so the dumps also show whether two
+checkouts do the same work, not only whether they compute the same results.
 
 The last line gives the number of lines before it and their sha256, so two
 checkouts compute the same outputs when their dumps compare equal under
@@ -54,6 +59,10 @@ def held_types(lib, process):
             yield from (c for _, c in x.params)
 
 
+def counted(stats) -> str:
+    return " ".join(f"{k}={stats[k]}" for k in sorted(stats))
+
+
 def check_lines(lib, op):
     process, encoded = op.inputs["process"], ""
     if op.family == "deleg":
@@ -75,6 +84,7 @@ def run_lines(lib, op):
     for s in trace.steps:
         yield f"step {s.index} {s.kind} {s.subject} {s.label} {lib.sem.canonical_key(s.term)}"
         yield f"term {s.index} {lib.tm.template(s.term)[0]}"
+    yield f"stats {counted(trace.stats)}"
 
 
 def explore_lines(lib, op):
@@ -84,6 +94,7 @@ def explore_lines(lib, op):
         t = ex.states[k]
         yield f"stored {lib.tm.template(t)[0]} {keyed(lib, held_types(lib, t))}"
     yield f"edges {ex.edges} truncated {ex.truncated}"
+    yield f"stats {counted(ex.stats)}"
 
 
 LINES = {"check": check_lines, "run": run_lines, "explore": explore_lines}
