@@ -22,11 +22,11 @@ makes:
   so maps keyed by names match by identity; `terms.substitute` returns a
   subterm in which nothing it replaces is free as it is, so a comm
   rebuilds only the paths to the received variable.
-- A component's sort key is a lazy `terms.Rendering` of it, hoisted names
-  as n0; components whose keys tie are ordered by the rendering with every
-  name literal. Two renderings are compared by rendering both only up to
-  their first difference (small components are rendered whole), and
-  `canonical_key` finishes the same renderings.
+- A component's sort key is a `terms.Rendering` of it, hoisted names as
+  n0; components whose keys tie are ordered by the rendering with every
+  name literal. A rendering renders a component's first nodes when it is
+  made, and the rest only when a comparison finds two texts equal that
+  far or when `canonical_key` asks for the template.
 - `_normalize` appends the new components to the tail; a binder dies when
   its count of components does. A term, a key or `enabled` merges the tail
   into the sorted components, whose hoisted names cannot change, as a
@@ -127,7 +127,7 @@ class _Comp:
     `names[0]`, else None. A component is only made by `_normalize`, and the
     binders among its free names never change while it is kept: a new
     binder that collides with one of its names is renamed. So its sort key
-    is fixed: `key`, the lazy `terms.Rendering` over its slots, ordered
+    is fixed: `key`, the `terms.Rendering` over its slots, ordered
     first, and on a tie the rendering over no slots, the literal
     tie-breaker, made only for such ties.
 
@@ -710,7 +710,10 @@ def run(p, fuel: int = 200) -> Trace:
     senders, receivers and betas, and a state is sorted only to break a
     tie and materialized only when its term is read. `stats` counts
     normalizations, components built, reused and rendered in full, and
-    term nodes scanned, substituted and rendered; one that never rose is 0."""
+    term nodes scanned, substituted and rendered; one that never rose is 0.
+    `fuel` is at least 0."""
+    if fuel < 0:
+        raise SemanticsError(f"fuel must be at least 0, not {fuel}")
     soup = start = _as_soup(p)
     redexes = _Redexes(soup.comps)
     steps: list[Step] = []
@@ -800,7 +803,10 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     normalized, so normalizations plus identity hits are the edges plus
     one; `cut_by_fuel`: states left unexpanded at depth `fuel`; and
     `cut_by_max_states`: states reached but left out because `max_states`
-    were already kept. `truncated` is set when either cut is not zero."""
+    were already kept. `truncated` is set when either cut is not zero.
+    `fuel` is at least 0."""
+    if fuel < 0:
+        raise SemanticsError(f"fuel must be at least 0, not {fuel}")
     if max_states < 1:
         raise SemanticsError(f"max_states must be at least 1, not {max_states}")
     s0 = _as_soup(p)

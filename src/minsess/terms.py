@@ -332,10 +332,10 @@ class Memo:
     """What one call learns about the subterms it meets, for its lifetime.
 
     `free` maps the id of a compound subterm to its free names, its free
-    variables (tuples in first-occurrence preorder), its number of nodes
-    and the subterm itself, which keeps the id from being reused. Each subterm is scanned once;
-    a term that shares subterms with one already scanned costs only its
-    new nodes. `stats` counts the nodes scanned, substituted and rendered,
+    variables (tuples in first-occurrence preorder) and the subterm
+    itself, which keeps the id from being reused. Each subterm is scanned
+    once; a term that shares subterms with one already scanned costs only
+    its new nodes. `stats` counts the nodes scanned, substituted and rendered,
     and what the semantics layer adds. `names` maps each name the
     semantics layer meets, either polarity, to the one object of its
     positive endpoint, so its maps match names by identity. A `run` or
@@ -351,7 +351,7 @@ class Memo:
 
 
 _LEAVES = (Name, Var, Lit, Inact)
-_NO_FREE = ((), (), 1)
+_NO_FREE = ((), ())
 
 
 # node class -> its row: its scope (children in preorder, and the names and
@@ -416,13 +416,13 @@ def _minus(items: tuple, bound: tuple) -> tuple:
 
 
 def _fv(t, memo: Memo) -> tuple:
-    """(free names, free variables, number of nodes) of t, from the memo
-    or scanned into it bottom-up on an explicit stack."""
+    """(free names, free variables) of t, from the memo or scanned into it
+    bottom-up on an explicit stack."""
     cls = t.__class__
     if cls is Name:
-        return (t,), (), 1
+        return (t,), ()
     if cls is Var:
-        return (), (t,), 1
+        return (), (t,)
     if cls is Lit or cls is Inact:
         return _NO_FREE
     free = memo.free
@@ -443,7 +443,6 @@ def _fv(t, memo: Memo) -> tuple:
             continue
         stack.pop()
         names = vs = ()
-        nodes = 1 + len(kids)
         last = len(kids) - 1
         for i, k in enumerate(kids):
             kc = k.__class__
@@ -454,14 +453,13 @@ def _fv(t, memo: Memo) -> tuple:
             elif kc is Lit or kc is Inact:
                 continue
             else:
-                kn, kv, size, _ = free[id(k)]
-                nodes += size - 1
+                kn, kv, _ = free[id(k)]
             if i == last:
                 kn = _minus(kn, bound_names)
                 kv = _minus(kv, bound_vars)
             names = _join(names, kn)
             vs = _join(vs, kv)
-        free[id(x)] = (names, vs, nodes, x)
+        free[id(x)] = (names, vs, x)
         scanned += 1
     memo.stats["nodes_scanned"] += scanned
     return free[id(t)]
@@ -642,11 +640,9 @@ def _rebind(bound: tuple, body, sigma: Mapping, supply: NameSupply, memo: Memo):
 # ---------------------------------------------------------------------------
 
 
-def _tokens(t, slots: tuple, out: list, stats: Counter, quota: int):
-    """Render t into out on an explicit stack, in steps of quota, twice
-    that, and so on, nodes, so a rendering stopped early has done at most
-    twice the work needed and a completed one took few steps; returns the
-    number of fields used.
+def _tokens(t, slots: tuple, out: list, stats: Counter):
+    """Render t into out on an explicit stack, pausing once after `_PAUSE`
+    nodes; returns the number of fields used.
 
     A token is text or a field number. Field k < len(slots) stands for the
     free name slots[k] (a positive endpoint, either polarity); binders take
@@ -662,7 +658,7 @@ def _tokens(t, slots: tuple, out: list, stats: Counter, quota: int):
     emit = out.append
     stack = [t]
     push, pop = stack.append, stack.pop
-    rendered = 0
+    rendered, pause = 0, _PAUSE
     while stack:
         x = pop()
         cls = x.__class__
@@ -741,10 +737,9 @@ def _tokens(t, slots: tuple, out: list, stats: Counter, quota: int):
             emit("0")
         else:
             _leaf_tokens(x, nenv, venv, emit)
-        if rendered == quota:
+        if rendered == pause:  # once: rendered counts on from 1, never 0
             stats["nodes_rendered"] += rendered
-            rendered = 0
-            quota *= 2
+            rendered = pause = 0
             yield
     stats["nodes_rendered"] += rendered
     return fields
@@ -783,100 +778,67 @@ def _leaf_tokens(x, nenv: dict, venv: dict, emit) -> None:
         raise TermError(f"unknown term node {x!r}")
 
 
-_WHOLE = 32
+_PAUSE = 32
 
 
 class Rendering:
-    """The template of a term over some slots (see `_tokens`), rendered
-    lazily and kept: `advance` renders a few more nodes, and `fmt`
-    finishes the rendering first.
+    """The template of a term over some slots (see `_tokens`), rendered in
+    two stages: its first `_PAUSE` nodes when it is made, the rest when
+    `fmt` asks for it or `less` needs it.
 
-    Its text fills slot fields with 0 and numbers binder fields from 1, so
-    it is alpha-invariant and does not depend on the slots' names; `less`
-    orders two renderings by their texts, rendering only up to the first
-    difference. `fmt` is the same template as a `str.format` string.
-    A term that memo knows to have at most `_WHOLE` nodes is rendered at
-    once: comparing whole texts costs less than rendering in steps. A term
-    memo has not scanned is rendered in steps, and is not scanned for its
-    size."""
+    `text` is what is rendered so far, with slot fields as 0 and binder
+    fields numbered from 1, so the whole text is alpha-invariant and does
+    not depend on the slots' names. `less` orders two renderings by their
+    whole texts, and finishes them only when their texts agree as far as
+    both are rendered. `fmt` is the same template as a `str.format`
+    string; once it is built the tokens are dropped."""
 
-    __slots__ = ("tokens", "slots", "binders", "stats", "_steps", "_text", "_seen", "_fmt")
+    __slots__ = ("tokens", "slots", "binders", "stats", "text", "_rest", "_fmt")
 
     def __init__(self, t, slots: tuple, memo: Memo) -> None:
-        self.tokens: list = []
+        self.tokens: Optional[list] = []
         self.slots = slots
         self.binders = 0  # known once the rendering is complete
         self.stats = memo.stats
-        known = memo.free.get(id(t))
-        whole = known is not None and known[2] <= _WHOLE
-        quota = known[2] + 1 if whole else 1
-        self._steps: Optional[Generator] = _tokens(t, slots, self.tokens, self.stats, quota)
-        self._text = ""  # the text of the first _seen tokens
-        self._seen = 0
+        self._rest: Optional[Generator] = _tokens(t, slots, self.tokens, self.stats)
         self._fmt: Optional[str] = None
-        if whole:
-            self.advance()
+        self._render()
 
-    def advance(self) -> bool:
-        """Render a few more nodes; False once the rendering is complete."""
-        if self._steps is None:
-            return False
+    def _render(self) -> None:
+        """Render up to the pause, or from it to the end, and set `text`."""
         try:
-            next(self._steps)
-            return True
+            next(self._rest)
         except StopIteration as done:
-            self._steps = None
+            self._rest = None
             self.binders = done.value - len(self.slots)
             self.stats["full_renderings"] += 1
-            self.prefix()
-            return False
-
-    def prefix(self) -> str:
-        """The text of what is rendered so far."""
-        tokens = self.tokens
-        if self._seen < len(tokens):
-            n = len(self.slots)
-            self._text += "".join([
-                x if x.__class__ is str else "0" if x < n else str(x - n + 1)
-                for x in tokens[self._seen:]
-            ])
-            self._seen = len(tokens)
-        return self._text
+        n = len(self.slots)
+        self.text = "".join([
+            x if x.__class__ is str else "0" if x < n else str(x - n + 1) for x in self.tokens
+        ])
 
     def fmt(self) -> str:
         if self._fmt is None:
-            while self.advance():
-                pass
+            if self._rest is not None:
+                self._render()
             self._fmt = "".join([
                 x.replace("{", "{{").replace("}", "}}") if x.__class__ is str else f"{{{x}}}"
                 for x in self.tokens
             ])
+            self.tokens = None
         return self._fmt
 
     def less(self, other: "Rendering") -> Optional[bool]:
-        """Whether self's text sorts before other's; None if they are equal.
-        While one text so far is a prefix of the other, the shorter one is
-        rendered on."""
-        if self._steps is None and other._steps is None:
-            a, b = self._text, other._text
-            return None if a == b else a < b
-        while True:
-            a, b = self.prefix(), other.prefix()
-            if b.startswith(a):
-                if self._steps is not None:
-                    self.advance()
-                elif len(a) < len(b):
-                    return True
-                elif other._steps is None:
-                    return None
-                else:
-                    other.advance()
-            elif a.startswith(b):
-                if other._steps is None:
-                    return False
-                other.advance()
-            else:
-                return a < b
+        """Whether self's text sorts before other's; None if they are equal."""
+        a, b = self.text, other.text
+        if (self._rest is not None or other._rest is not None) and (
+            a.startswith(b) or b.startswith(a)
+        ):
+            for r in (self, other):
+                if r._rest is not None:
+                    r._render()
+            a, b = self.text, other.text
+        return None if a == b else a < b
 
 
 def template(t) -> tuple[str, int]:
@@ -1092,38 +1054,18 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
 
 def iter_subterms(t) -> Iterator:
     """Preorder walk over processes and values, subjects, application
-    arguments and binders included: an input's after its subject, an
-    abstraction's parameters before its body. It keeps its own dispatch:
-    through `_NODES` the walk takes 1.5 to 2.3 times as long."""
+    arguments and binders included, through the rows of `_NODES`: a node's
+    children but the last, then the name or the variables it binds (a
+    restriction's binder, an input's binders, an abstraction's
+    parameters), then its last child."""
     stack = [t]
-    push, extend = stack.append, stack.extend
     while stack:
         t = stack.pop()
         yield t
-        cls = t.__class__
-        if cls is Output:
-            push(t.cont)
-            extend(reversed(t.payload))
-            push(t.subject)
-        elif cls is Input:
-            push(t.cont)
-            extend(reversed(t.binders))
-            push(t.subject)
-        elif cls is Select:
-            push(t.cont)
-            push(t.subject)
-        elif cls is Par:
-            push(t.right)
-            push(t.left)
-        elif cls is Res:
-            push(t.body)
-            push(t.binder)
-        elif cls is Branch:
-            extend(p for _, p in reversed(t.branches))
-            push(t.subject)
-        elif cls is App:
-            extend(reversed(t.args))
-            push(t.fun)
-        elif cls is Abs:
-            push(t.body)
-            extend(v for v, _ in reversed(t.params))
+        row = _NODES.get(t.__class__)
+        if row is not None:
+            kids, names, vs = row[0](t)
+            if kids:
+                stack.append(kids[-1])
+                stack += reversed(vs or names[:1])
+                stack += reversed(kids[:-1])

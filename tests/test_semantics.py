@@ -659,6 +659,13 @@ class TestExplore:
         with pytest.raises(SemanticsError, match="max_states"):
             explore(bool_session(sname("s"), True), max_states=bound)
 
+    def test_negative_fuel_raises(self):
+        p = bool_session(sname("s"), True)
+        for call in (run, explore):
+            with pytest.raises(SemanticsError, match="fuel must be at least 0, not -1"):
+                call(p, fuel=-1)
+        assert run(p, fuel=0).status == "fuel" and len(explore(p, fuel=0).states) == 1
+
     def test_states_are_materialized_when_read(self, monkeypatch):
         sessions = (("s", True), ("r", False), ("q", True))
         p = parallel([rpc_session(sname(c), v) for c, v in sessions])

@@ -202,11 +202,14 @@ def test_iter_subterms_preorder_with_subjects_args_and_binders():
     s, f, x = Name("s"), Var("f"), Var("x")
     out = Output(s, (Lit(1),), Inact())
     app = App(f, (prop_name(4),))
-    p = Res(prop_name(2), END, Par(out, Input(s.dualized(), (x,), app)))
+    sel = Select(s, "l", app)
+    bra = Branch(s.dualized(), (("l", out), ("r", Inact())))
+    p = Res(prop_name(2), END, Par(Par(out, Input(s.dualized(), (x,), sel)), bra))
     assert list(iter_subterms(p)) == [
-        p, prop_name(2), p.body,
+        p, prop_name(2), p.body, p.body.left,
         out, s, Lit(1), Inact(),
-        p.body.right, s.dualized(), x, app, f, prop_name(4),
+        p.body.left.right, s.dualized(), x, sel, s, app, f, prop_name(4),
+        bra, s.dualized(), out, s, Lit(1), Inact(), Inact(),
     ]
 
 
@@ -257,6 +260,17 @@ def test_alpha_eq_negative():
     )
     # literal kinds matter
     assert not alpha_eq(Lit(True), Lit(1))
+
+
+def test_binders_are_numbered_in_order():
+    s, t, x, y = Name("s"), Name("t"), Var("x"), Var("y")
+    first = Input(s, (x, y), Output(t, (x,), Inact()))
+    assert template(first) == ("s.None.session?(v{0},v{1}).t.None.session!(v{0}).0", 2)
+    assert not alpha_eq(first, Input(s, (x, y), Output(t, (y,), Inact())))
+    assert alpha_eq(
+        Abs(((x, INT), (y, INT)), Output(t, (x,), Inact()), shared=False),
+        Abs(((y, INT), (x, INT)), Output(t, (y,), Inact()), shared=False),
+    )
 
 
 def test_alpha_eq_compares_annotations():
@@ -660,11 +674,13 @@ def test_term_errors_as_printed(make, error, message):
 
 
 def test_rendering_order_agrees_with_finished_texts():
-    # a short text that is a strict prefix of a long one, which is
-    # rendered in steps: "s!(1).0" against "s!(1).0x..." and longer still;
-    # chain(30) renders 63 nodes, so two of them end on a step boundary
-    def chain(n):
-        t = Inact()
+    # chain(n) renders 2n + 3 nodes plus those of its end: "s!(1).0" is a
+    # strict prefix of the text of every longer chain ("s!(1).0x..."), so
+    # chains of 15 or more links agree through the pause at 32 nodes;
+    # `late` differs from chain(40) only in its last literal, and `exact`
+    # (32 nodes) ends exactly at the pause
+    def chain(n, end=Inact()):
+        t = end
         for _ in range(n):
             t = Output(Name("0x"), (Lit(1),), t)
         return Output(Name("s"), (Lit(1),), t)
@@ -672,14 +688,28 @@ def test_rendering_order_agrees_with_finished_texts():
     def rendering(t):
         return Rendering(t, (), Memo())
 
-    def text(t):
+    def finished(t):
         r = rendering(t)
         r.fmt()
-        return r.prefix()
+        return r
 
-    terms = [chain(0), chain(30), chain(30), chain(40), chain(41)]
-    texts = [text(t) for t in terms]
-    assert all(b.startswith(a) for a, b in zip(texts, texts[1:]))
+    late = chain(39, Output(Name("0x"), (Lit(2),), Inact()))
+    exact = chain(14, Input(Name("0x"), (Var("x"),), Inact()))
+    terms = [chain(0), exact, chain(14), chain(30), chain(30), chain(40), late, chain(41)]
+    texts = [finished(t).text for t in terms]
+    paused = [rendering(t).text for t in (chain(30), chain(40), late, chain(41))]
+    assert len(set(paused)) == 1 and all(len(paused[0]) < len(t) for t in texts[3:])
+    # each node is counted once, whether its rendering stops at the pause
+    # or is finished later
+    for t, nodes in ((exact, 32), (chain(40), 83)):
+        memo = Memo()
+        r = Rendering(t, (), memo)
+        assert memo.stats["nodes_rendered"] == 32
+        r.fmt()
+        assert memo.stats["nodes_rendered"] == nodes
+    assert finished(exact).text == rendering(exact).text == texts[1]
     for a, ta in zip(terms, texts):
         for b, tb in zip(terms, texts):
-            assert rendering(a).less(rendering(b)) == (None if ta == tb else ta < tb)
+            want = None if ta == tb else ta < tb
+            assert rendering(a).less(rendering(b)) == want
+            assert finished(a).less(rendering(b)) == want
