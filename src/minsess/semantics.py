@@ -26,7 +26,7 @@ makes:
   n0; components whose keys tie are ordered by the rendering with every
   name literal. A rendering renders a component's first nodes when it is
   made, and the rest only when a comparison finds two texts equal that
-  far or when `canonical_key` asks for the template.
+  far or when a state's key asks for the template.
 - `_normalize` appends the new components to the tail; a binder dies when
   its count of components does. A term, a key or `enabled` merges the tail
   into the sorted components, whose hoisted names cannot change, as a
@@ -43,7 +43,10 @@ makes:
   hoisting and collision renaming depend on the state; the free names of
   the others are among the consumed components' names, so which of them
   are hoisted does not depend on the state either.
-- A key depends only on the components' terms and slots, and a kept
+- A state's key is a tuple: for each component in sort order, its finished
+  template, its number of binders and the numbers of its hoisted names.
+  One printer, `_text`, gives it as the text `canonical_key` returns. A
+  key depends only on the components' terms and slots, and a kept
   component keeps its slots, so `explore` indexes the key of each state it
   keeps or cuts by the state's components as objects. When a redex reuses
   recorded components, the state it reaches holds the state's components
@@ -51,11 +54,13 @@ makes:
   the edge takes the key it maps to and is neither fired, normalized,
   sorted nor keyed. Converging interleavings of independent redexes meet
   this way.
-- `explore` keeps each state as its soup, and `Exploration.states`
-  materializes a state's term when it is read, as `run`'s steps do.
+- `explore` deduplicates on the tuples and keeps each state as its soup.
+  `Exploration` prints a state's key as text when the key is read, and
+  materializes its term when the term is read, as `run`'s steps do.
 
-Every cache lives in the soups of one `run` or `explore` call, or of one
-call of another entry point, and nowhere else.
+Every cache lives in the soups or the result of one `run` or `explore`
+call, or in the soups of one call of another entry point, and nowhere
+else.
 
 The deterministic policy orders enabled redexes:
   1. reserved bookkeeping channels ("#..."), highest index first,
@@ -399,27 +404,50 @@ def _as_soup(p) -> _Soup:
     return p if isinstance(p, _Soup) else normalize(_Soup({}, [], {}, Memo(), (p,)))
 
 
-def canonical_key(p) -> str:
-    """The rendering of the normalized state: its binders numbered 1..k
-    in order, then each component's template filled with the numbers of
-    its hoisted names and the next free numbers for its own binders, the
-    components joined right-nested. It finishes the renderings the sort
-    began, so no component is rendered twice."""
-    soup = _as_soup(p)
-    comps = soup.sort()
-    number = {b: k for k, b in enumerate(soup.order(), 1)}
-    offset = len(number)
+def _key(soup: _Soup) -> tuple:
+    """The state's key: for each component in sort order, its finished
+    template, its number of binders and the numbers of its hoisted names,
+    numbered 1..k in order of first use. It finishes the renderings the
+    sort began, so no component is rendered twice."""
+    number: dict = {}
+    key: list = []
+    append = key.append
+    for c in soup.sort():
+        r = c.key()
+        append(r.fmt())
+        append(r.binders)
+        for n in c.slots:
+            append(number.setdefault(n, len(number) + 1))
+    return tuple(key)
+
+
+def _text(key: tuple) -> str:
+    """The text of a state's key (see `canonical_key`)."""
+    comps: list = []
+    for x in key:
+        if x.__class__ is str:
+            comps.append([x])
+        else:
+            comps[-1].append(x)
+    hoisted = offset = max((n for c in comps for n in c[2:]), default=0)
     parts = []
-    for c in comps:
-        key = c.key()
-        fmt = key.fmt()
-        nb = key.binders
-        parts.append(fmt.format(*[number[n] for n in c.slots], *range(offset + 1, offset + nb + 1)))
+    for fmt, nb, *slots in comps:
+        parts.append(fmt.format(*slots, *range(offset + 1, offset + nb + 1)))
         offset += nb
     if not parts:
         return "0"
     body = "".join(f"({x}|" for x in parts[:-1]) + parts[-1] + ")" * (len(parts) - 1)
-    return "".join(f"nu n{k}.(" for k in number.values()) + body + ")" * len(number)
+    return "".join(f"nu n{k}.(" for k in range(1, hoisted + 1)) + body + ")" * hoisted
+
+
+def canonical_key(p) -> str:
+    """The normalized state's key as text: its hoisted binders numbered
+    1..k in order, then each component's template filled with the numbers
+    of its hoisted names and the next free numbers for its own binders,
+    the components joined right-nested. Two states have equal texts
+    exactly when their `_key` tuples are equal, which is what `explore`
+    compares."""
+    return _text(_key(_as_soup(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +532,15 @@ def _advance(annot, out_subject: Name, label: Optional[str]):
 def apply_redex(p, r: Redex):
     """The state after firing r, normalized: only the components r produces
     are new. r's positions are those `enabled` gives: in the soup as
-    `enabled` left it, sorted, or in the sorted soup of a term."""
+    `enabled` left it, sorted, or in the sorted soup of a term. On a term,
+    r must be one of its `enabled` redexes, else `SemanticsError`; a soup's
+    redex is not checked."""
     if isinstance(p, _Soup):
         return normalize(_fire(p, r))
     soup = _as_soup(p)
-    soup.sort()
+    if r not in enabled(soup):
+        at = r.i if r.j is None else f"{r.i}, {r.j} on {r.subject}"
+        raise SemanticsError(f"{r.kind} at {at} is not enabled")
     return normalize(_fire(soup, r)).term()
 
 
@@ -749,23 +781,57 @@ def _reached(comps: list, r: Redex, made: tuple) -> tuple:
     return _ident(after)
 
 
-class _States(Mapping):
-    """`Exploration.states`: each state's soup by its key."""
+class _Texts:
+    """The text keys of one exploration's states, shared by its mappings:
+    each is printed once, when first read, and the map from text back to
+    key is built when a key is first looked up by its text."""
 
-    def __init__(self, soups: dict) -> None:
-        self._soups = soups
+    def __init__(self, keys) -> None:
+        self._keys = keys  # every kept state's key
+        self._printed: dict = {}
+        self._by_text: Optional[dict] = None
 
-    def __getitem__(self, key):
-        return self._soups[key].term()
+    def text(self, key: tuple) -> str:
+        text = self._printed.get(key)
+        if text is None:
+            text = self._printed[key] = _text(key)
+        return text
+
+    def find(self, text) -> Optional[tuple]:
+        if self._by_text is None:
+            self._by_text = {self.text(k): k for k in self._keys}
+        return self._by_text.get(text)
+
+
+class _Keyed(Mapping):
+    """A read-only mapping by text key over a dict by tuple key, in its
+    order: `len` and `values` print no key, iteration prints each once,
+    and a lookup finds the tuple through `texts`. `read` makes a value
+    what is read, as `_Soup.term` does for `Exploration.states`."""
+
+    def __init__(self, by_key: dict, texts: _Texts, read=None) -> None:
+        self._by_key, self._texts, self._read = by_key, texts, read
+
+    def __getitem__(self, text):
+        key = self._texts.find(text)
+        if key not in self._by_key:
+            raise KeyError(text)
+        value = self._by_key[key]
+        return value if self._read is None else self._read(value)
+
+    def __contains__(self, text) -> bool:
+        return self._texts.find(text) in self._by_key
 
     def __iter__(self):
-        return iter(self._soups)
+        return map(self._texts.text, self._by_key)
 
     def __len__(self) -> int:
-        return len(self._soups)
+        return len(self._by_key)
 
-    def __contains__(self, key) -> bool:
-        return key in self._soups
+    def values(self) -> list:
+        """The values in order; no key is printed."""
+        values = self._by_key.values()
+        return list(values) if self._read is None else [self._read(v) for v in values]
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -773,13 +839,17 @@ class _States(Mapping):
 
 @dataclass
 class Exploration:
-    """`states` is a read-only mapping from each kept state's key to its
-    term: `len`, iteration and `in` read only the keys, and a term is
-    materialized from the state's soup when first read, and then kept."""
+    """`states`, `depth` and `terminals` are read-only mappings from a kept
+    state's key, as text, to its term, its depth and, for a state with no
+    redex, "inert" or "stuck". They hold the keys as tuples and print a
+    key when it is read: `len`, `values`, `edges`, `truncated` and `stats`
+    print none, iteration prints each key once for all three, and a lookup
+    by text prints every key once. A term is materialized from the state's
+    soup when first read, and then kept."""
 
     states: Mapping
-    depth: dict
-    terminals: dict  # key -> "inert" | "stuck"
+    depth: Mapping
+    terminals: Mapping
     truncated: bool
     edges: int = 0
     stats: dict = field(default_factory=dict)
@@ -787,16 +857,17 @@ class Exploration:
 
 def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     """Breadth-first closure of the reachable state space up to `fuel`
-    reduction steps, memoized on the canonical erased form; `max_states`,
-    at least 1, bounds the states kept. A redex whose products have no
-    restriction on their parallel spine makes its components once and
-    reuses them in every state where it fires again. The call keeps one
-    index from the components of each state it kept or cut, as objects, to
-    the state's key: an edge whose redex reuses components and whose state
-    to reach holds components indexed so takes that key without firing,
-    and meets the same dedup and `max_states` tests as every other edge.
-    A kept state stays a soup, with its counts and `fresh` dropped once it
-    is expanded.
+    reduction steps, deduplicated on each state's `_key` tuple;
+    `max_states`, at least 1, bounds the states kept. A redex whose
+    products have no restriction on their parallel spine makes its
+    components once and reuses them in every state where it fires again.
+    The call keeps one index from the components of each state it kept or
+    cut, as objects, to the state's key: an edge whose redex reuses
+    components and whose state to reach holds components indexed so takes
+    that key without firing, and meets the same dedup and `max_states`
+    tests as every other edge. A kept state stays a soup, with its counts
+    and `fresh` dropped once it is expanded, and its key stays a tuple
+    until it is read as text (see `Exploration`).
     `stats` counts what `run`'s does, and `dedup_hits`: edges to a state
     already seen; `steps_reused`: edges whose redex reused its components;
     `identity_hits`: edges resolved by the index, which are not
@@ -810,7 +881,7 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
     if max_states < 1:
         raise SemanticsError(f"max_states must be at least 1, not {max_states}")
     s0 = _as_soup(p)
-    k0 = canonical_key(s0)
+    k0 = _key(s0)
     soups = {k0: s0}
     depth = {k0: 0}
     terminals: dict = {}
@@ -840,7 +911,7 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
                         s0.memo.stats["steps_reused"] += 1
                     else:
                         t = apply_redex(s, r)
-                        tk = canonical_key(t)
+                        tk = _key(t)
                     if tk in soups:
                         hits += 1
                         continue
@@ -860,4 +931,6 @@ def explore(p, fuel: int = 50, max_states: int = 50000) -> Exploration:
                  identity_hits=resolved, cut_by_fuel=cut_by_fuel,
                  cut_by_max_states=len(cut_by_max_states))
     truncated = bool(cut_by_fuel or cut_by_max_states)
-    return Exploration(_States(soups), depth, terminals, truncated, edges, stats)
+    texts = _Texts(soups)
+    return Exploration(_Keyed(soups, texts, _Soup.term), _Keyed(depth, texts),
+                       _Keyed(terminals, texts), truncated, edges, stats)

@@ -39,7 +39,9 @@ import dataclasses
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from minsess.semantics import _det_rank, apply_redex, canonical_key, enabled, explore, normalize, run
+from minsess.semantics import (
+    _as_soup, _det_rank, _key, apply_redex, canonical_key, enabled, explore, normalize, run,
+)
 from minsess.terms import (
     Abs,
     App,
@@ -500,6 +502,19 @@ def test_explore_agrees_with_the_term_path(p):
     assert ex.edges == edges
     assert all(canonical_key(t) == k for k, t in ex.states.items())
     assert ex.stats["normalizations"] + ex.stats["identity_hits"] == ex.edges + 1
+
+
+@SETTINGS
+@given(st.one_of(protocols, relays()), st.one_of(protocols, relays()))
+def test_tuple_keys_and_text_keys_split_states_alike(p, q):
+    """`explore` tells states apart by their `_key` tuples and prints them
+    as text: two states of two explorations have equal tuples exactly when
+    they have equal texts, each keyed afresh from its term."""
+    states = [*explore(p).states.values(), *explore(q).states.values()]
+    keys = [(_key(_as_soup(t)), canonical_key(t)) for t in states]
+    for a, b in keys:
+        for c, d in keys:
+            assert (a == c) == (b == d)
 
 
 def _rebuilt(t, name):

@@ -385,6 +385,34 @@ class TestStepping:
         assert t.status == "inert"
         assert [x.kind for x in t.steps] == ["beta", "comm"]
 
+    def test_a_sender_and_a_receiver_on_different_channels_do_not_fire(self):
+        s, t, u = sname("s"), sname("t"), sname("u")
+        p = Par(
+            Output(s, (Lit(1),), Inact()),
+            Input(t.dualized(), (Var("x"),), Output(u, (Var("x"),), Inact())),
+        )
+        assert enabled(p) == []
+        for i, j in ((0, 1), (1, 0)):
+            with pytest.raises(SemanticsError, match=f"^comm at {i}, {j} on s is not enabled$"):
+                apply_redex(p, Redex("comm", i, j, subject=s))
+
+    def test_a_redex_out_of_range_or_of_the_wrong_kind_does_not_fire(self):
+        s = sname("s")
+        p = Res(s, SOut((U_SINK,), END), comm_pair(s))
+        (r,) = enabled(p)
+        assert r == Redex("comm", 0, 1, subject=s)
+        wrong = (
+            Redex("comm", 0, 2, subject=s),
+            Redex("comm", 5, 1, subject=s),
+            Redex("beta", 0),
+            Redex("beta", 9),
+            Redex("select", 0, 1, subject=s, label="go"),
+        )
+        for bad in wrong:
+            with pytest.raises(SemanticsError, match="is not enabled$"):
+                apply_redex(p, bad)
+        assert isinstance(apply_redex(p, r), Inact)
+
 
 class TestPolicy:
     def test_reserved_highest_index_first(self):
@@ -689,6 +717,42 @@ class TestExplore:
         assert len(calls) == len(keys)
         for k, t in zip(keys, values):
             assert normalize(t) == t and canonical_key(t) == k
+
+    def test_keys_are_printed_when_read(self, monkeypatch):
+        sessions = (("s", True), ("r", False), ("q", True))
+        p = parallel([rpc_session(sname(c), v) for c, v in sessions])
+        first = canonical_key(p)
+        printed = []
+        text = semantics._text
+
+        def counted(key):
+            printed.append(key)
+            return text(key)
+
+        monkeypatch.setattr(semantics, "_text", counted)
+        looked_up = explore(p)
+        ex = explore(p)
+        assert len(ex.states) == len(ex.depth) > len(ex.terminals) > 0 and ex.edges
+        assert set(ex.terminals.values()) == {"inert"} and not ex.truncated
+        assert len(ex.states.values()) == len(ex.states) and not printed
+        # a lookup by text prints every key once, before any iteration
+        assert looked_up.depth[first] == 0 and first in looked_up.states
+        assert looked_up.terminals.get(first) is None and "?" not in looked_up.depth
+        assert len(printed) == len(looked_up.states)
+        del printed[:]
+        keys = list(ex.states)
+        assert len(printed) == len(keys) == len(set(keys)) == len(ex.states)
+        # the three mappings share what is printed
+        assert list(ex.states) == list(ex.depth) == keys and not set(ex.terminals) - set(keys)
+        assert len(printed) == len(keys)
+        assert ex.depth[first] == 0 and first in ex.states and ex.terminals.get(first) is None
+        assert all(ex.terminals.get(k) == "inert" for k in ex.terminals)
+        assert len(printed) == len(keys)
+        # breadth-first, as the states were reached
+        depths = [ex.depth[k] for k in keys]
+        assert depths == sorted(depths) == list(ex.depth.values())
+        assert ex.depth == dict(zip(keys, depths)) != dict(zip(keys, depths[::-1]))
+        assert ex.terminals == looked_up.terminals and ex.depth == looked_up.depth
 
     def test_products_with_a_restriction_are_not_reused(self):
         # hoisting a released binder depends on the state, so a comm that
