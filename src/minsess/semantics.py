@@ -31,11 +31,12 @@ makes:
   its count of components does. A term, a key or `enabled` merges the tail
   into the sorted components, whose hoisted names cannot change, as a
   stable sort would. So `explore`, which keys each state, sorts each one;
-  `run` picks each redex from an index of senders, receivers and betas
-  that each step updates (`enabled` and the index read the `role` each
-  component is given when made), and sorts a state only to break a tie of
-  the policy or when its term is read, then from the order of the state
-  it stepped from, with only the step's new components to merge in.
+  `run` finds each state's redexes by the same scan of the components'
+  roles as `enabled` (the `role` each component is given when made), over
+  the components as they lie, and keeps no index between steps; it sorts
+  a state only when two redexes tie in the policy's first rank, or when
+  its term is read, then from the order of the state it stepped from, with
+  only the step's new components to merge in.
 - The components a redex makes are recorded with the component that
   fired it, under its partner and label, and reused, renderings included,
   in every state of `explore` where the same components meet again. Only
@@ -129,7 +130,8 @@ class _Comp:
     `slots` are those that are hoisted binders. `role` is its part in a
     redex, "beta" for an application of an abstraction, "send" or
     "receive" for a prefix on a name, whose positive endpoint is then
-    `names[0]`, else None. A component is only made by `_normalize`, and the
+    `names[0]`, else None; `run` and `enabled` find redexes by it. A
+    component is only made by `_normalize`, of a class in `_ROLES`, and the
     binders among its free names never change while it is kept: a new
     binder that collides with one of its names is renamed. So its sort key
     is fixed: `key`, the `terms.Rendering` over its slots, ordered
@@ -146,10 +148,7 @@ class _Comp:
         self.term = term
         self.names = tuple(dict.fromkeys(_positive(n, memo) for n in free_names(term, memo)))
         cls = term.__class__
-        if cls is App:
-            live = term.fun.__class__ is Abs
-        else:
-            live = cls in _ROLES and term.subject.__class__ is Name
+        live = term.fun.__class__ is Abs if cls is App else term.subject.__class__ is Name
         self.role = _ROLES[cls] if live else None
         self.slots: tuple = ()
         self.fired: Optional[dict] = None
@@ -189,15 +188,16 @@ class _Soup:
     `_normalize` completes them in place, checking the names in `dying`
     (counts that fell to zero) for dead binders and recording what it made
     under `source`, the fired component and its key, when it can be
-    reused. A normal soup is not changed, except that `sort` merges its
-    tail in, that `explore` drops the counts and `fresh` of a soup it has
-    expanded, and that `run`, which keeps one soup per step for its term,
-    drops the counts of a soup it has stepped from and links each soup to
-    it as `prev`: `fresh` lists the components its normalization added,
-    which are its last ones until it is sorted."""
+    reused; `run` clears `source`, since a component it consumed never
+    fires again. A normal soup is not changed, except that `sort` merges
+    its tail in, that `explore` drops the counts and `fresh` of a soup it
+    has expanded, and that `run`, which keeps one soup per step for its
+    term, drops the counts of a soup it has stepped from and links each
+    soup to it as `prev`: `fresh` lists the components its normalization
+    added, which are its last ones until it is sorted."""
 
     __slots__ = ("binders", "comps", "counts", "memo", "raw", "made", "dying", "source",
-                 "fresh", "nsorted", "prev", "_order", "_term")
+                 "fresh", "nsorted", "prev", "_term")
 
     def __init__(self, binders: dict, comps: list, counts: Optional[dict], memo: Memo,
                  raw: Optional[tuple] = None, made: tuple = (), dying: tuple = (),
@@ -206,7 +206,6 @@ class _Soup:
         self.raw, self.made, self.dying, self.source = raw, made, dying, source
         self.fresh, self.nsorted = fresh, nsorted
         self.prev: Optional[_Soup] = None
-        self._order: Optional[tuple] = None
         self._term = None
 
     def sort(self) -> list:
@@ -246,20 +245,13 @@ class _Soup:
                 insort_right(comps, c)
             self.nsorted = len(comps)
 
-    def order(self) -> tuple:
-        """The binders in order of first use by the sorted components."""
-        if self._order is None:
-            seen: dict = {}
-            for c in self.comps:
-                for n in c.slots:
-                    seen[n] = None
-            self._order = tuple(seen)
-        return self._order
-
     def term(self):
+        """The state's term: its binders, in order of first use by the
+        sorted components, restricting their parallel composition."""
         if self._term is None:
-            body = parallel(c.term for c in self.sort())
-            for b in reversed(self.order()):
+            comps = self.sort()
+            body = parallel(c.term for c in comps)
+            for b in reversed(dict.fromkeys(n for c in comps for n in c.slots)):
                 body = Res(b, self.binders[b], body)
             self._term = body
         return self._term
@@ -281,7 +273,8 @@ def _normalize(soup: _Soup) -> _Soup:
     same components in every state: their free names are among those of
     the components the redex consumed, and so are their hoisted ones, the
     slots. Such components are recorded under the soup's `source`, and
-    the redex reuses them wherever it fires again."""
+    the redex reuses them wherever it fires again. A raw term that is not
+    a process, such as a value, raises `SemanticsError`."""
     raw, memo = soup.raw, soup.memo
     binders, kept, counts = soup.binders, soup.comps, soup.counts
     claims: Optional[_Claims] = None
@@ -306,8 +299,10 @@ def _normalize(soup: _Soup) -> _Soup:
             binders[b] = t.annot
             claimed.append(b)
             stack.append(body)
-        else:
+        elif cls in _ROLES:
             new.append(_Comp(t, memo))
+        else:
+            raise SemanticsError(f"{cls.__name__} is not a process")
 
     if claims is None and soup.source is not None:
         owner, key = soup.source
@@ -477,8 +472,14 @@ def _meets(out, inp) -> bool:
 
 
 def enabled(p) -> list[Redex]:
-    """Every redex of the state, found by its components' roles."""
-    comps = _as_soup(p).sort()
+    """Every redex of the state, at the positions of its sorted components
+    (see `_scan`)."""
+    return _scan(_as_soup(p).sort())
+
+
+def _scan(comps: list) -> list[Redex]:
+    """Every redex of a state whose components are comps, found by their
+    roles, at the positions where they lie."""
     receivers: dict[Name, list[int]] = {}
     for j, d in enumerate(comps):
         if d.role == "receive":
@@ -514,6 +515,19 @@ def _rank(n: Optional[Name]) -> tuple:
 
 def _det_rank(r: Redex) -> tuple:
     return (*_rank(r.subject), r.i, -1 if r.j is None else r.j)
+
+
+def _pick(soup: _Soup) -> Optional[Redex]:
+    """`min(enabled(soup), key=_det_rank)`, at the positions where the
+    soup's components lie: the soup is sorted, and positions compared,
+    only when the policy's first rank by subject ties at the top."""
+    rs = _scan(soup.comps)
+    if len(rs) < 2:  # the common case, with nothing to rank
+        return rs[0] if rs else None
+    ranks = [_rank(r.subject) for r in rs]
+    if ranks.count(min(ranks)) > 1:
+        rs = _scan(soup.sort())
+    return min(rs, key=_det_rank)
 
 
 def _advance(annot, out_subject: Name, label: Optional[str]):
@@ -609,84 +623,6 @@ def _produce(r: Redex, gone: tuple, memo: Memo) -> tuple:
     return (out_c.cont, in_c.branch(r.label))
 
 
-class _Redexes:
-    """The components of `run`'s current state that can take part in a
-    redex, updated with the components each step consumes and makes:
-    senders and receivers by the positive endpoint of their subject (the
-    first of their names), betas, and the subjects with a matching pair.
-    They are gathered from all of a soup's components, its tail included,
-    and `first` asks for the soup's order only to break a tie.
-
-    `enabled` keeps its own scan of the state: built from a fresh
-    `_Redexes`, it takes 19.5-22.7 us per state instead of 9.1-9.7 us over
-    the 4,752 states of the seeds 1-2 `explore` pools, about 0.5 ms more
-    per operation."""
-
-    def __init__(self, comps: list) -> None:
-        self.senders: dict = {}
-        self.receivers: dict = {}
-        self.betas: list = []
-        self.ready: set = set()
-        self.update((), comps)
-
-    def update(self, gone, made) -> None:
-        touched = set()
-        for cs, add in ((gone, False), (made, True)):
-            for c in cs:
-                role = c.role
-                if role == "beta":
-                    group = self.betas
-                elif role is not None:
-                    n = c.names[0]
-                    by_subject = self.senders if role == "send" else self.receivers
-                    group = by_subject.setdefault(n, [])
-                    touched.add(n)
-                else:
-                    continue
-                if add:
-                    group.append(c)
-                else:
-                    group.remove(c)
-        for n in touched:
-            if next(self._pairs(n), None) is None:
-                self.ready.discard(n)
-            else:
-                self.ready.add(n)
-
-    def _pairs(self, n: Name):
-        """(sender, receiver) pairs that synchronize on the positive n: a
-        session endpoint meets the other one, a shared name itself."""
-        receivers = self.receivers.get(n)
-        if not receivers:
-            return
-        for c in self.senders.get(n, ()):
-            for d in receivers:
-                if _meets(c.term, d.term):
-                    yield c, d
-
-    def first(self, soup: _Soup) -> Optional[Redex]:
-        """`min(enabled(soup), key=_det_rank)`, at the positions where its
-        components lie: the soup is sorted, and positions are compared,
-        only when the policy's first rank by subject is a tie."""
-        picks = list(self._candidates())
-        if len(picks) == 1:  # the common case, with nothing to rank
-            kind, n, label, gone = picks[0]
-            return Redex(kind, *map(soup.comps.index, gone), subject=n, label=label)
-        ranks = [_rank(n) for _, n, _, _ in picks]
-        comps = soup.sort() if ranks.count(min(ranks, default=())) > 1 else soup.comps
-        return min((Redex(kind, *map(comps.index, gone), subject=n, label=label)
-                    for kind, n, label, gone in picks), key=_det_rank, default=None)
-
-    def _candidates(self):
-        for n in self.ready:
-            for c, d in self._pairs(n):
-                out = c.term
-                yield ("comm", n, None, (c, d)) if out.__class__ is Output else \
-                    ("select", n, out.label, (c, d))
-        for c in self.betas:
-            yield "beta", None, None, (c,)
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
@@ -737,29 +673,26 @@ def _terminal_status(soup: _Soup) -> str:
 def run(p, fuel: int = 200) -> Trace:
     """Execute to quiescence or fuel exhaustion, firing at each step the
     enabled redex that comes first in the documented priority order
-    (explore() covers all interleavings instead). A step costs what its
-    redex consumes and makes: the redex comes from an index of the state's
-    senders, receivers and betas, and a state is sorted only to break a
-    tie and materialized only when its term is read. `stats` counts
-    normalizations, components built, reused and rendered in full, and
-    term nodes scanned, substituted and rendered; one that never rose is 0.
-    `fuel` is at least 0."""
+    (explore() covers all interleavings instead). Each step scans the
+    state's components for their redexes as `enabled` does, but where they
+    lie, and keeps no index between steps; a state is sorted only when two
+    redexes tie in the policy's first rank, and materialized only when its
+    term is read. `stats` counts normalizations, components built, reused
+    and rendered in full, and term nodes scanned, substituted and
+    rendered; one that never rose is 0. `fuel` is at least 0."""
     if fuel < 0:
         raise SemanticsError(f"fuel must be at least 0, not {fuel}")
     soup = start = _as_soup(p)
-    redexes = _Redexes(soup.comps)
     steps: list[Step] = []
     # the next redex is looked for first, so a run that ends with its fuel
     # reports how the last state ends
-    while (r := redexes.first(soup)) is not None and len(steps) < fuel:
-        gone = [soup.comps[r.i]] if r.j is None else [soup.comps[r.i], soup.comps[r.j]]
-        last, soup = soup, normalize(_fire(soup, r))
+    while (r := _pick(soup)) is not None and len(steps) < fuel:
+        pending = _fire(soup, r)
+        pending.source = None  # what a consumed component made is never reused
+        last, soup = soup, normalize(pending)
         soup.prev = last
-        redexes.update(gone, soup.fresh)
         # what is left of the last state only materializes its term
         last.counts = None
-        for c in gone:
-            c.fired = None
         subject = str(r.subject) if r.subject is not None else None
         steps.append(Step(len(steps) + 1, r.kind, subject, r.label, soup))
     status = "fuel" if r is not None else _terminal_status(soup)

@@ -4,9 +4,8 @@ A deep session is one binary session whose interactions cycle through an
 Int message, a lin(Int) abstraction that the receiver applies beside its
 continuation, and a choice, the two sides taking turns; a relay is a
 source, forwarding stages and a sink, one channel per hop. Both are built
-back to front with loops. Long terms are compared by their keys, never
-with `==`, whose dataclass recursion would overflow on them. Sessions side
-by side multiply `explore`'s states, but not the components it builds.
+back to front with loops. Sessions side by side multiply `explore`'s
+states, but not the components it builds.
 """
 
 import pytest

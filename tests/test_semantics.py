@@ -67,6 +67,19 @@ class TestNormalize:
         q = normalize(p)
         assert isinstance(q, Output)
 
+    @pytest.mark.parametrize("value, cls", [
+        (Lit(1), "Lit"),
+        (Var("x"), "Var"),
+        (sname("s"), "Name"),
+        (Abs(((Var("x"), BOOL),), Inact()), "Abs"),
+        (Res(sname("s"), END, Lit(2)), "Lit"),
+    ], ids=["Lit", "Var", "Name", "Abs", "Res-over-Lit"])
+    @pytest.mark.parametrize("call", [run, explore, normalize, enabled, canonical_key],
+                             ids=lambda f: f.__name__)
+    def test_a_value_is_not_a_state(self, value, cls, call):
+        with pytest.raises(SemanticsError, match=f"^{cls} is not a process$"):
+            call(value)
+
     def test_dead_restriction_dropped(self):
         p = Res(sname("s"), END, Inact())
         assert isinstance(normalize(p), Inact)
