@@ -538,8 +538,9 @@ def substitute(term, sigma: Mapping, memo: Optional[Memo] = None):
     their images, to a process or value, renaming binders on capture. A
     subterm in which nothing sigma replaces is free comes back as it is,
     so the cost is that of the paths to the replaced occurrences; free
-    sets come from memo (a fresh one if none is given). The walk runs on
-    the `trampoline`, so long continuations cost no stack depth."""
+    sets come from memo (a fresh one if none is given). The walk is a
+    chain of plain `trampoline` steps, one or more per node, so long
+    continuations cost no stack depth."""
 
     def scan() -> set[str]:
         used = used_bases(term)
@@ -550,7 +551,7 @@ def substitute(term, sigma: Mapping, memo: Optional[Memo] = None):
     memo = memo or Memo()
     if term.__class__ not in _LEAVES and not _reaches(term, sigma, memo):
         return term
-    return trampoline(_sub(term, sigma, NameSupply(scan), memo))
+    return trampoline((_sub, term, sigma, NameSupply(scan), memo))
 
 
 def _reaches(t, sigma: Mapping, memo: Memo) -> bool:
@@ -567,29 +568,45 @@ def _leaf(t, sigma: Mapping):
 
 
 def _sub(t, sigma: Mapping, supply: NameSupply, memo: Memo):
-    """A trampoline step: t with the substitution applied. Leaves and every
-    child but the last are substituted here, a binder that would capture is
-    renamed by one more entry in the map, and the last child is a Tail
-    into the node's rebuild."""
+    """A trampoline step: t with the substitution applied. Leaves come back
+    at once, and so does a subterm in which nothing sigma replaces is free;
+    any other node goes on in `_sub_kids`."""
     cls = t.__class__
     if cls in _LEAVES:
         return _leaf(t, sigma)
     if not _reaches(t, sigma, memo):
         return t
     memo.stats["nodes_substituted"] += 1
-    scope, head, make = _NODES[cls]  # t's row, since `_reaches` scanned t
-    (*kids, last), bound_names, bound_vars = scope(t)
-    done = []
-    for i, k in enumerate(kids):
-        got = _leaf(k, sigma) if k.__class__ in _LEAVES else (yield _sub(k, sigma, supply, memo))
-        done.append(_placed(cls, i, k, got))
-    bound = bound_names or bound_vars
+    return _sub_kids(t, _NODES[cls][0](t), sigma, supply, memo, [], None)
+
+
+def _sub_kids(t, scope: tuple, sigma: Mapping, supply: NameSupply, memo: Memo, done: list, got):
+    """A trampoline step: t's children substituted from `len(done)` on, got
+    being the image of the one before, if that was a sub-step. Leaves are
+    substituted here and every other child but the last is a sub-step that
+    resumes here; then a binder that would capture is renamed by one more
+    entry in the map, and the last child is a Tail into the node's rebuild.
+    An application has no such last child: its arguments are checked as
+    they are placed."""
+    cls = t.__class__
+    kids, bound_names, bound_vars = scope
+    _, head, make = _NODES[cls]
+    if got is not None:
+        done.append(_placed(cls, len(done), kids[len(done)], got))
+    n = len(kids) if cls is App else len(kids) - 1
+    while len(done) < n:
+        k = kids[len(done)]
+        if k.__class__ not in _LEAVES:
+            return Tail((_sub, k, sigma, supply, memo), _sub_kids, t, scope, sigma, supply, memo, done)
+        done.append(_placed(cls, len(done), k, _leaf(k, sigma)))
+    if cls is App:
+        return make(head(t), (), *done)
+    last, bound = kids[-1], bound_names or bound_vars
     if bound:
         sigma, bound = _rebind(bound, last, sigma, supply, memo)
-    if last.__class__ in _LEAVES or cls is App:  # an argument is checked when placed
-        got = _leaf(last, sigma) if last.__class__ in _LEAVES else (yield _sub(last, sigma, supply, memo))
-        return make(head(t), bound, *done, _placed(cls, len(done), last, got))
-    return Tail(_sub(last, sigma, supply, memo), make, head(t), bound, *done)
+    if last.__class__ in _LEAVES:
+        return make(head(t), bound, *done, _placed(cls, n, last, _leaf(last, sigma)))
+    return Tail((_sub, last, sigma, supply, memo), make, head(t), bound, *done)
 
 
 def _placed(cls, i: int, old, new):
@@ -602,7 +619,9 @@ def _placed(cls, i: int, old, new):
             raise TermError("substitution put an abstraction in argument position")
     elif old.__class__ is Var and new.__class__ is not Var:
         if i == 0 and new.__class__ is not Name:  # a subject
-            raise TermError(f"substitution put a non-channel in subject position: {new!r}")
+            raise TermError(
+                f"substitution put a non-channel in subject position: {new.__class__.__name__}"
+            )
         if i and new.__class__ is Name:
             # only the first-order front end carries name payloads; a
             # variable standing for a value must not become a name here
@@ -913,49 +932,41 @@ def package_type(c: CType) -> SIn:
 
 
 class Tail:
-    """A step's last sub-computation, returned instead of yielded: the
-    step's frame is released and, when the generator `sub` returns v, the
-    step's result is `then(*args, v)` (v itself without `then`). `then`
-    may return a Tail in turn. The trampoline keeps `(then, *args)` only."""
+    """What a step returns to hand on its work: the step `sub`, a tuple
+    `(function, *args)` to be called next, and what to do with its value
+    v, which is `then(*args, v)` (v itself without `then`). A step that
+    needs a sub-result before it can go on returns a Tail whose `then` is
+    its second half; one whose last work is another step returns a Tail
+    without `then`. `sub` may be a Tail in turn, and so may what a step or
+    a `then` returns. The trampoline keeps only `then` and `args` while
+    the step runs, so the step's tuple and the Tail are freed."""
 
     __slots__ = ("sub", "then", "args")
 
-    def __init__(self, sub: Generator, then: Optional[Callable] = None, *args) -> None:
+    def __init__(self, sub: Union[tuple, "Tail"], then: Optional[Callable] = None, *args) -> None:
         self.sub, self.then, self.args = sub, then, args
 
 
-def trampoline(gen: Generator):
-    """Run a generator-based recursion on an explicit stack: a step `yield`s
-    the generator of a sub-computation and resumes with its return value,
-    so nesting costs heap, not Python stack; a step that ends in a Tail
-    leaves only its `then` on the stack. Exceptions propagate."""
+def trampoline(step: tuple):
+    """Run a recursion of plain steps on an explicit stack: call the step,
+    a tuple `(function, *args)`; while the result is a Tail, keep its
+    `then` pending and call its step; a plain value goes to the latest
+    pending `then`, or is the answer when none is left. Nesting costs heap,
+    not Python stack. Exceptions propagate."""
     stack: list = []
     push, pop = stack.append, stack.pop
-    sub, value = gen, None
+    value = Tail(step)
     while True:
-        if sub is not None:  # start a step, unwrapping tails
-            while sub.__class__ is Tail:
-                if sub.then is not None:
-                    push((sub.then, *sub.args))  # one tuple per pending step
-                sub = sub.sub
-            push(sub)
-            sub = value = None
-        elif not stack:
+        while value.__class__ is Tail:
+            if value.then is not None:
+                push(value.then)
+                push(value.args)
+            step = value.sub
+            value = step if step.__class__ is Tail else step[0](*step[1:])
+        if not stack:
             return value
-        top = stack[-1]
-        if top.__class__ is tuple:
-            pop()
-            value = top[0](*top[1:], value)
-            sub = None
-        else:
-            try:
-                sub = top.send(value)
-                continue
-            except StopIteration as done:
-                pop()
-                value = done.value
-        if value.__class__ is Tail:
-            sub = value
+        args = pop()
+        value = pop()(*args, value)
 
 
 def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Process:
@@ -1024,26 +1035,35 @@ def encode_namepass(term: Process, name_types: Optional[Mapping] = None) -> Proc
                     forward = Input(clause("z"), clause("xs"), App(clause("x"), t.payload))
                     carrier = pack(lookup(item))[1]
                     payload = sent[item] = (Abs(((clause("z"), carrier),), forward),)
-                return Tail(go(t.cont), Output, t.subject, payload)
+                return Tail((go, t.cont), Output, t.subject, payload)
             kept.append(Output(t.subject, t.payload, Inact()))  # its payload is kept
         elif cls is Input:
             if len(t.binders) == 1 and t.binders[0] in types:
                 hot, carrier, _ = pack(lookup(t.binders[0]))
-                return Tail(go(t.cont), receive, t.subject, (t.binders[0], hot), carrier)
+                return Tail((go, t.cont), receive, t.subject, (t.binders[0], hot), carrier)
         elif cls not in (Select, Branch, Par, Res):
-            raise TermError(f"unsupported construct for the first-order front end: {t!r}")
-        # any other node: its processes encoded, its values kept, the types
-        # its head holds translated
-        scope, head, make = _NODES[cls]
-        kids, bound_names, bound_vars = scope(t)
-        extra, held = head(t)
-        done = []
-        for k in kids[:-1]:
-            done.append(k if k.__class__ in _LEAVES or k.__class__ is Abs else (yield go(k)))
-        hot = tuple(pack(c)[0] for c in held)
-        return Tail(go(kids[-1]), make, (extra, hot), bound_names or bound_vars, *done)
+            raise TermError(f"unsupported construct for the first-order front end: {cls.__name__}")
+        # any other node: its subject and payload kept, every other child
+        # encoded as a process
+        kids = _NODES[cls][0](t)[0]
+        keep = 0 if cls is Par or cls is Res else 1 + len(t.payload) if cls is Output else 1
+        return rebuild(t, kids, list(kids[:keep]), None)
 
-    out = trampoline(go(term))
+    def rebuild(t: Process, kids: tuple, done: list, got):
+        """A step: t's children encoded from `len(done)` on, got being the
+        encoding of the one before, if any; the last is a Tail into t's
+        rebuild, with the types t's head holds translated."""
+        if got is not None:
+            done.append(got)
+        if len(done) < len(kids) - 1:
+            return Tail((go, kids[len(done)]), rebuild, t, kids, done)
+        scope, head, make = _NODES[t.__class__]
+        _, bound_names, bound_vars = scope(t)
+        extra, held = head(t)
+        hot = tuple(pack(c)[0] for c in held)
+        return Tail((go, kids[-1]), make, (extra, hot), bound_names or bound_vars, *done)
+
+    out = trampoline((go, term))
     if any(
         isinstance(v, Output) and any(isinstance(p, Name) for p in v.payload)
         for k in kept for v in iter_subterms(k)

@@ -18,22 +18,25 @@ through (the restrictive reading with an empty linear payload context
 rejects machine-generated servers whose payloads close over linear
 state, and is not what the system's own metatheory uses).
 
-Each rule is a generator that `yield`s the generator of every
-sub-derivation, and `terms.trampoline` runs them from one loop, so depth
-costs heap, not Python stack. A rule's last sub-derivation is a
-`terms.Tail`: the rule's frame is gone while it runs, and only the small
-function that finishes the rule (`_touch`, `_joined`, `_sent`,
-`_received`, `_abstracted`, and the module-level `_closed` for every
-restriction) waits on the stack with its arguments, so a nested protocol
-holds no generator per level except in `Branch` and `App`. Rules update
-`lam` and `delta` in place into the leftovers; only `Branch` arms and
-promoted abstractions work on copies. Every binder, an input's values,
-a restriction's endpoints (session or shared) and an abstraction's
-parameters, enters its environment through `_bind`, whose token
-`_unbind` hands back when the scope ends, with the value the binder left
-(`_MISSING` if it was consumed). Touched keys travel up as sets; a
-`Par`'s left keys wait as a tuple. A path is a linked tuple
-`(parent, *steps)` ending in `()`, flattened only into `Diagnostic.path`.
+Each rule is a plain `terms.trampoline` step: it returns the touched keys,
+or a `terms.Tail` whose step is a sub-derivation and whose `then` finishes
+the rule with the sub-derivation's result as its last argument, so depth
+costs heap, not Python stack. Only that small function waits on the stack
+with its arguments: `_touch`, `_joined`, `_sent`, `_received`,
+`_abstracted` and the module-level `_closed` for every restriction after a
+rule's last sub-derivation; `_left`, `_arms` and `_applied` after a `Par`'s
+left thread, each `Branch` arm (the arms run in order) and an `App`'s
+function; `_sent` after an abstraction payload. Rules update `lam`
+and `delta` in place into the leftovers; only `Branch` arms and promoted
+abstractions work on copies. Every binder, an input's values, a
+restriction's endpoints (session or shared) and an abstraction's
+parameters, enters its environment through `_bind`, whose token `_unbind`
+hands back when the scope ends, with the value the binder left
+(`_MISSING` if it was consumed). Touched keys travel up as sets; a `Par`'s
+left keys wait as a tuple. A path is a linked tuple `(parent, *steps)`
+ending in `()`, flattened only into `Diagnostic.path`. What a check asks
+of one type or binder object more than once, its dual or its recursive
+head unfolded, `_Checker.known` answers once per call.
 `types_seen` lists the types alone; `check_minimal_typed` tests each as
 it is seen and keeps the path of the first non-minimal one.
 """
@@ -65,6 +68,7 @@ from .types import (
     SIn,
     SOut,
     SBra,
+    SRec,
     SSel,
     TArrow,
     TChan,
@@ -131,10 +135,18 @@ def _steps(path) -> Path:
 
 def _compat(actual, expected) -> bool:
     """Type fit for a value against an expected type: equality up to
-    unfolding, where a shared arrow also fits as its linear form."""
-    if (isinstance(actual, TArrow) and actual.shared
-            and isinstance(expected, TArrow) and not expected.shared):
-        actual = TArrow(actual.params, False)
+    unfolding, where a shared arrow also fits as its linear form. The same
+    object fits at once, and so does an arrow over the very parameter
+    types expected, as an abstraction's type is built from its annotations."""
+    if actual is expected:
+        return True
+    if actual.__class__ is TArrow and expected.__class__ is TArrow:
+        if actual.shared or not expected.shared:
+            a, e = actual.params, expected.params
+            if len(a) == len(e) and all(x is y for x, y in zip(a, e)):
+                return True
+        if actual.shared and not expected.shared:
+            actual = TArrow(actual.params, False)
     return equal_types(actual, expected)
 
 
@@ -145,18 +157,22 @@ class _Checker:
 
     def __init__(self, gamma: dict, minimal: bool = False) -> None:
         self.gamma = dict(gamma)
-        self.duals: dict = {}  # id of a restriction binder or annotation -> its dual
+        # (query, id of an object) -> (the object, the answer), for the
+        # call: the entry keeps the object, so its id is not reused
+        self.memo: dict = {}
         self.seen: list = []
         # with minimal set: the path and type of the first non-minimal type seen
         self.minimal, self.non_minimal = minimal, None
 
-    def dual(self, x):
-        """x's dual, once per object and call: an encoded protocol restricts
-        one binder at one carrier type again and again (the term holds x)."""
-        got = self.duals.get(id(x))
+    def known(self, query, x):
+        """query(x), once per object and call: an encoded protocol restricts
+        one binder at one carrier type again and again, and a loop meets its
+        recursive type again at each round."""
+        key = (query, id(x))
+        got = self.memo.get(key)
         if got is None:
-            got = self.duals[id(x)] = x.dualized() if isinstance(x, Name) else ty.dual(x)
-        return got
+            got = self.memo[key] = (x, query(x))
+        return got[1]
 
     def see(self, path, t) -> None:
         self.seen.append(t)
@@ -179,24 +195,24 @@ class _Checker:
 
     def _head(self, u, t, cls, path, rule: str, what: str):
         """t unfolded to its head, which must be a cls."""
-        t = unfold_top(t)
+        if t.__class__ is SRec:
+            t = self.known(unfold_top, t)
         if not isinstance(t, cls):
             raise CheckError(path, rule, f"{u} : {ty.format_type(t)} {what}")
         return t
 
     # -- processes ----------------------------------------------------------
 
-    def proc(self, p, lam: dict, delta: dict, path):
-        """The derivation of p as a generator: it leaves the leftovers in lam
-        and delta and returns the touched session keys."""
+    def proc(self, p, lam: dict, delta: dict, path) -> tuple:
+        """The derivation of p as a trampoline step: it leaves the leftovers
+        in lam and delta and returns the touched session keys."""
         rule = _RULES.get(p.__class__)
         if rule is None:
-            raise CheckError(path, "Proc", f"unknown process node {p!r}")
-        return rule(self, p, lam, delta, path)
+            raise CheckError(path, "Proc", f"unknown process node {p.__class__.__name__}")
+        return (rule, self, p, lam, delta, path)
 
     def _inact(self, p: Inact, lam: dict, delta: dict, path):
         return set()
-        yield  # a rule is a generator, also one without premises
 
     def _select(self, p: Select, lam: dict, delta: dict, path):
         kind, t = self._subject(p.subject, lam, delta, path)
@@ -208,12 +224,15 @@ class _Checker:
             raise CheckError(path, "Sel", f"label {p.label} not in {list(conts)}")
         delta[p.subject] = conts[p.label]
         return Tail(self.proc(p.cont, lam, delta, (path, "cont")), _touch, p.subject)
-        yield  # a rule is a generator, also one that ends in a tail
 
     def _par(self, p: Par, lam: dict, delta: dict, path):
-        left, right = (path, "left"), (path, "right")
-        t1 = yield self.proc(p.left, lam, delta, left)
+        left = (path, "left")
+        return Tail(self.proc(p.left, lam, delta, left), _Checker._left, self, p, lam, delta, path, left)
+
+    def _left(self, p: Par, lam: dict, delta: dict, path, left, t1: set):
+        """With the left thread done, touching t1: the right thread."""
         self._require_finished(delta, t1, left)
+        right = (path, "right")
         # the left keys wait as a tuple while the right thread runs
         return Tail(self.proc(p.right, lam, delta, right), _Checker._joined, self, delta, tuple(t1), right)
 
@@ -242,7 +261,6 @@ class _Checker:
         else:  # shared: one payload, channel type unchanged
             expected = (t.payload,)
         return self._sent(p, lam, delta, path, kind, t, expected, 0, None)
-        yield  # a rule is a generator, also one that ends in a tail
 
     def _sent(self, p: Output, lam: dict, delta: dict, path, kind, t, expected, i: int, got):
         """With payload value i - 1 typed got: the values from i on, an
@@ -292,7 +310,6 @@ class _Checker:
         )
         cont = self.proc(p.cont, lam, delta, (path, "cont"))
         return Tail(cont, _Checker._received, self, p.subject, lam, path, kind, tokens)
-        yield  # a rule is a generator, also one that ends in a tail
 
     def _received(self, subject, lam: dict, path, kind: str, tokens: tuple, touched: set) -> set:
         for token in reversed(tokens):
@@ -314,13 +331,24 @@ class _Checker:
             raise CheckError(
                 path, "Bra", f"labels {have} against type labels {sorted(offered)}"
             )
-        # each arm threads its own copies; the first arm's leftovers stand
-        results = []
-        for label, q in p.branches:
+        return self._arms(p, lam, delta, path, offered, [], None)
+
+    def _arms(self, p: Branch, lam: dict, delta: dict, path, offered: dict, results: list, t1):
+        """The arms from `len(results)` on, in order, t1 being what the one
+        before touched, if that one ran as a sub-step; then the arms agree.
+        An arm `0` touches nothing and needs no sub-step."""
+        if t1 is not None:
+            results[-1].append(t1)
+        while len(results) < len(p.branches):
+            # each arm threads its own copies; the first arm's leftovers stand
+            label, q = p.branches[len(results)]
             lam1, d1 = dict(lam), dict(delta)
             d1[p.subject] = offered[label]
-            t1 = yield self.proc(q, lam1, d1, (path, "branch", label))
-            results.append((label, lam1, d1, t1))
+            results.append([label, lam1, d1])
+            if q.__class__ is not Inact:
+                step = self.proc(q, lam1, d1, (path, "branch", label))
+                return Tail(step, _Checker._arms, self, p, lam, delta, path, offered, results)
+            results[-1].append(set())
         base_label, lam0, d0, t0 = results[0]
         for label, lam1, d1, t1 in results[1:]:
             if set(lam0) != set(lam1) or set(d0) != set(d1):
@@ -328,8 +356,8 @@ class _Checker:
                     path, "Bra",
                     f"branches {base_label} and {label} consume different resources",
                 )
-            for k in d0:
-                if not equal_types(d0[k], d1[k]):
+            for k, u in d0.items():
+                if u is not d1[k] and not equal_types(u, d1[k]):
                     raise CheckError(
                         path, "Bra",
                         f"branches {base_label} and {label} leave {k} at different types",
@@ -343,8 +371,12 @@ class _Checker:
         return t0
 
     def _app(self, p: App, lam: dict, delta: dict, path):
+        step = (_Checker.value, self, p.fun, lam, delta, (path, "fun"))
+        return Tail(step, _Checker._applied, self, p, delta, path)
+
+    def _applied(self, p: App, delta: dict, path, ftype):
+        """With the function typed ftype: the arguments against its parameters."""
         here = (path, "fun")
-        ftype = yield self.value(p.fun, lam, delta, here)
         if not isinstance(ftype, TArrow):
             raise CheckError(
                 path, "App", f"cannot apply a value of type {ty.format_type(ftype)}"
@@ -374,11 +406,11 @@ class _Checker:
         self.see((path, "annot"), p.annot)
         body_path = (path, "body")
         if is_session(p.annot):
-            ends = (_bind(delta, p.binder, p.annot), _bind(delta, self.dual(p.binder), self.dual(p.annot)))
+            dual_end = self.known(Name.dualized, p.binder)
+            ends = (_bind(delta, p.binder, p.annot), _bind(delta, dual_end, self.known(ty.dual, p.annot)))
         else:
             ends = (_bind(self.gamma, p.binder, p.annot),)
         return Tail(self.proc(p.body, lam, delta, body_path), _closed, ends, body_path)
-        yield  # a rule is a generator, also one that ends in a tail
 
     def _require_finished(self, delta: dict, touched: set, path) -> None:
         for k in touched:
@@ -408,10 +440,11 @@ class _Checker:
             raise CheckError(path, "Var", f"unknown variable {v}")
         if isinstance(v, Name):
             raise CheckError(path, "Val", f"names are not values: {v}")
-        raise CheckError(path, "Val", f"unknown value node {v!r}")
+        raise CheckError(path, "Val", f"unknown value node {v.__class__.__name__}")
 
     def value(self, v, lam: dict, delta: dict, path):
-        """A value's type; an abstraction's body is a sub-derivation."""
+        """A value's type, as a trampoline step: an abstraction's body is a
+        sub-derivation."""
         if not isinstance(v, Abs):
             return self._atom(v, lam, delta, path)
         for _, c in v.params:
@@ -423,7 +456,6 @@ class _Checker:
         tokens = tuple(_bind(d_b if is_session(c) else self.gamma, x, c) for x, c in v.params)
         body = self.proc(v.body, lam_b, d_b, body_path)
         return Tail(body, _Checker._abstracted, self, v, delta, lam_b, body_path, tokens)
-        yield  # a value is a generator, also one that ends in a tail
 
     def _abstracted(self, v: Abs, delta: dict, lam_b: dict, body_path, tokens: tuple,
                     touched: set) -> TArrow:
@@ -538,7 +570,7 @@ def check_value(envs: Optional[TypeEnvs], v):
     ck = _Checker(envs.gamma)
     lam, delta = dict(envs.lam), dict(envs.delta)
     try:
-        vtype = trampoline(ck.value(v, lam, delta, ()))
+        vtype = trampoline((_Checker.value, ck, v, lam, delta, ()))
     except CheckError as e:
         return None, _result(ck, envs.lam, envs.delta, [e.diagnostic])
     return vtype, _result(ck, lam, delta, [])

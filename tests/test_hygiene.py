@@ -170,28 +170,15 @@ def test_top_level_imports_are_used(module):
 RECURSION_FREE = ("semantics.py", "terms.py", "types.py", "typecheck.py")
 
 
-def _trampoline_steps(fn: ast.AST) -> set:
-    """The ids of the calls in fn that `terms.trampoline` runs on its own
-    stack: the operand of a `yield`, and the first argument of a `Tail`."""
-    steps = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
-            steps.add(id(node.value))
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Tail" and node.args:
-            steps.add(id(node.args[0]))
-    return steps
-
-
 def _self_calls(tree: ast.AST):
     """'name (line)' for every function, nested ones included, that calls
-    itself by name, other than as a trampoline step: `f(...)` inside f, or
-    `self.f(...)` inside a method f."""
+    itself by name: `f(...)` inside f, or `self.f(...)` inside a method f.
+    A trampoline step names its function in a tuple and is no call."""
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        steps = _trampoline_steps(node)
         for call in ast.walk(node):
-            if not isinstance(call, ast.Call) or id(call) in steps:
+            if not isinstance(call, ast.Call):
                 continue
             f = call.func
             on_self = isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self"

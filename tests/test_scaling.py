@@ -10,6 +10,7 @@ states, but not the components it builds.
 
 import pytest
 
+from minsess import types
 from minsess.semantics import _Comp, canonical_key, explore, normalize, run
 from minsess.terms import (
     Abs,
@@ -23,14 +24,17 @@ from minsess.terms import (
     Par,
     Res,
     Select,
+    TermError,
     Var,
     alpha_eq,
+    encode_namepass,
     free_names,
     parallel,
     rename_channel,
     substitute,
 )
-from minsess.types import INT, SBra, SEnd, SIn, SOut, SSel, TArrow
+from minsess.typecheck import TypeEnvs, check_process, check_value
+from minsess.types import BOOL, INT, SBra, SEnd, SIn, SOut, SRec, SSel, SVar, TArrow
 
 END = SEnd()
 LIN_INT = TArrow((INT,), shared=False)
@@ -118,6 +122,54 @@ def test_long_chains_key_normalize_compare_and_substitute():
     renamed = substitute(p, rename_channel(s, r))
     assert free_names(renamed) == [r, r.dualized()]
     assert canonical_key(Res(r, SOut((INT,), END), renamed)) == key
+
+
+X = Var("x")
+
+
+@pytest.mark.parametrize("misplace,message", [
+    (lambda c: check_process(None, Par(Abs(((X, INT),), c), Inact())).diagnostics[0],
+     "[Proc] at left: unknown process node Abs"),
+    (lambda c: check_value(None, c)[1].diagnostics[0], "[Val] at top: unknown value node Output"),
+    (lambda c: substitute(Output(X, (Lit(1),), Inact()), {X: c}),
+     "substitution put a non-channel in subject position: Output"),
+    (lambda c: encode_namepass(Abs(((X, INT),), c)),
+     "unsupported construct for the first-order front end: Abs"),
+], ids=["process", "value", "subject", "encoding"])
+def test_a_long_misplaced_term_is_named_by_its_class(misplace, message):
+    # printing the 3,000-prefix term itself would recurse once per prefix
+    try:
+        got = misplace(chain(3000))
+    except TermError as e:
+        got = e
+    assert str(got) == message
+
+
+def test_a_loop_unfolds_its_type_once_however_long_it_runs(monkeypatch):
+    """A loop meets the same recursive type object at each round; the
+    checker unfolds it once per call, at N = 50 and 200 rounds."""
+    calls = 0
+    unfold = types.unfold
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return unfold(t)
+
+    monkeypatch.setattr(types, "unfold", counting)
+
+    def unfolds(n):
+        nonlocal calls
+        s, y = sname("s"), Var("y")
+        loop = SRec("t", SOut((INT,), SIn((BOOL,), SVar("t"))))
+        p = App(y, (s,))
+        for i in range(n):
+            p = Output(s, (Lit(i),), Input(s, (Var(f"x{i}"),), p))
+        calls = 0
+        assert check_process(TypeEnvs(lam={y: TArrow((loop,), False)}, delta={s: loop}), p).ok
+        return calls
+
+    assert unfolds(50) == unfolds(200) > 0
 
 
 def test_a_5000_interaction_deep_session_runs_to_inert():

@@ -384,7 +384,7 @@ class TestDiagnosticsAsPrinted:
          "[Subj] at top: x is a linear value, not a channel"),
         (TypeEnvs(gamma={_X: INT}), Output(_X, (Lit(1),), Inact()),
          "[Subj] at top: x : Int cannot be a subject"),
-        (None, Lit(1), "[Proc] at top: unknown process node Lit(value=1)"),
+        (None, Lit(1), "[Proc] at top: unknown process node Lit"),
         (TypeEnvs(gamma={_A: TChan(INT)}), Select(_A, "l", Inact()),
          "[Sel] at top: selection needs a session subject, got a"),
         (TypeEnvs(gamma={_A: TChan(INT)}), Output(_A, (Lit(1), Lit(2)), Inact()),
@@ -405,7 +405,7 @@ class TestDiagnosticsAsPrinted:
         (TypeEnvs(lam={_F: TArrow((SIn((INT,), END),), False)}, delta={_S: SOut((INT,), END)}),
          App(_F, (_S,)), "[App] at arg/0: s : !<Int>;end against parameter ?<Int>;end"),
         (TypeEnvs(delta={_S: SOut((INT,), END)}), Output(_S, (Inact(),), Inact()),
-         "[Val] at payload/0: unknown value node Inact()"),
+         "[Val] at payload/0: unknown value node Inact"),
     ], ids=["subject-linear", "subject-value", "unknown-process", "select-shared",
             "request-arity", "receive-arity", "accept-arity", "branch-shared",
             "branch-resources", "session-argument", "literal-argument", "argument-mismatch",

@@ -12,7 +12,9 @@ with `workloads.verify`; a result that is not `ok` ends the script with
 status 1.
 
 For each checkout it prints the sum, median and 90th percentile of the
-per-operation minimums over the rounds, in milliseconds. A minimum over
+per-operation minimums over the rounds, in milliseconds, and under that
+line the sum for each family and tier of the pools, so a difference can be
+traced to the protocols that make it. A minimum over
 interleaved rounds discounts the host's noise that a single pass of each
 side would keep. The benchmark directory is only read: no bytecode is
 written to it.
@@ -75,11 +77,16 @@ def main(argv=None) -> int:
                           file=sys.stderr)
                     return 1
                 best[s][i] = min(best[s][i], took)
-    for src, times in zip(args.src, best):
+    for src, (_, ops), times in zip(args.src, sides, best):
         ms = [t * 1000 for t in times]
         p90 = statistics.quantiles(ms, n=10, method="inclusive")[-1]
         print(f"{src}: {len(ms)} operations, sum {sum(ms):.1f} ms, "
               f"p50 {statistics.median(ms):.3f} ms, p90 {p90:.3f} ms")
+        groups: dict = {}
+        for op, t in zip(ops, ms):
+            groups.setdefault((op.family, op.tier), []).append(t)
+        for (family, tier), group in sorted(groups.items()):
+            print(f"  {family} {tier}: {len(group)} operations, sum {sum(group):.1f} ms")
     return 0
 
 
